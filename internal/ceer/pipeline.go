@@ -3,6 +3,7 @@ package ceer
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"ceer/internal/cloud"
@@ -187,12 +188,38 @@ func (c profCell) op(attempt int) faults.Op {
 	return faults.Op{Stage: "profile", CNN: c.name, Device: string(c.m), Attempt: attempt}
 }
 
-// commCell is one communication-measurement cell.
+// commCell is one communication-measurement cell. The cells of one
+// (CNN, device) share their compute draw: it does not depend on k.
 type commCell struct {
-	name string
-	g    *graph.Graph
-	m    gpu.ID
-	k    int
+	name    string
+	g       *graph.Graph
+	m       gpu.ID
+	k       int
+	compute *sharedCompute
+}
+
+// sharedCompute is the compute mean of one (CNN, device) pair's comm
+// cells, drawn by the first cell that needs it and reused at every
+// other k. A draw that fails (a cancelled context) is not kept, so a
+// later attempt draws again. Its callers all pass the same graph,
+// device, iteration count and seed.
+type sharedCompute struct {
+	mu   sync.Mutex
+	done bool
+	mean float64
+}
+
+func (s *sharedCompute) draw(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int, seed uint64) (float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.done {
+		mean, err := sim.MeanCompute(ctx, g, m, measureIters, seed)
+		if err != nil {
+			return 0, err
+		}
+		s.mean, s.done = mean, true
+	}
+	return s.mean, nil
 }
 
 func (c commCell) op(attempt int) faults.Op {
@@ -213,8 +240,9 @@ func (pl Pipeline) commCells(names []string, graphs []*graph.Graph) []commCell {
 	var cells []commCell
 	for i, name := range names {
 		for _, m := range pl.devices() {
+			compute := &sharedCompute{}
 			for k := 1; k <= pl.MaxK; k++ {
-				cells = append(cells, commCell{name, graphs[i], m, k})
+				cells = append(cells, commCell{name, graphs[i], m, k, compute})
 			}
 		}
 	}
@@ -223,7 +251,7 @@ func (pl Pipeline) commCells(names []string, graphs []*graph.Graph) []commCell {
 
 // measureComm runs one communication cell.
 func (pl Pipeline) measureComm(ctx context.Context, c commCell, ds dataset.Dataset) (CommObs, error) {
-	meas, err := sim.Train(ctx, c.g, cloud.Config{GPU: c.m, K: c.k}, ds, pl.CommIterations, pl.Seed+7)
+	meas, err := sim.TrainWith(ctx, c.g, cloud.Config{GPU: c.m, K: c.k}, ds, pl.CommIterations, pl.Seed+7, c.compute.draw)
 	if err != nil {
 		return CommObs{}, err
 	}

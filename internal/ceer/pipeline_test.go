@@ -11,6 +11,7 @@ import (
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
+	"ceer/internal/sim"
 	"ceer/internal/zoo"
 )
 
@@ -136,5 +137,79 @@ func TestCollectCommObsParallelMatchesSerial(t *testing.T) {
 	wantLen := len(campaignNames) * 4 * testPipeline(1).MaxK
 	if len(serial) != wantLen {
 		t.Errorf("got %d observations, want %d", len(serial), wantLen)
+	}
+}
+
+// TestCommObsShareComputeExactly checks that sharing one compute draw
+// across a (CNN, device)'s GPU counts changes no observation: every
+// comm observation equals the one an unshared sim.Train of its cell
+// yields.
+func TestCommObsShareComputeExactly(t *testing.T) {
+	pl := testPipeline(3)
+	got, err := pl.CollectCommObs(context.Background(), zoo.Build, campaignNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []CommObs
+	for _, name := range campaignNames {
+		g, err := zoo.Build(name, pl.Batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range gpu.All() {
+			for k := 1; k <= pl.MaxK; k++ {
+				meas, err := sim.Train(context.Background(), g, cloud.Config{GPU: m, K: k},
+					dataset.ImageNetSubset6400, pl.CommIterations, pl.Seed+7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, CommObs{CNN: name, GPU: m, K: k, Params: g.Params,
+					Overhead: meas.PerIterSeconds - meas.ComputeSeconds})
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("comm observations with a shared compute draw differ from unshared sim.Train")
+	}
+}
+
+// TestSharedComputeKeepsNoCancelledDraw checks the share's memo: a draw
+// under a cancelled context fails and is not kept, so later draws,
+// made at once from several goroutines as a parallel comm stage's
+// sibling cells make them, all get sim.MeanCompute's value, which is
+// then reused even under a cancelled context.
+func TestSharedComputeKeepsNoCancelledDraw(t *testing.T) {
+	g, err := zoo.Build("inception-v1", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var s sharedCompute
+	if _, err := s.draw(cancelled, g, gpu.T4, 5, 3); err == nil {
+		t.Fatal("draw under a cancelled context succeeded")
+	}
+	want, err := sim.MeanCompute(context.Background(), g, gpu.T4, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, 6)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = s.draw(context.Background(), g, gpu.T4, 5, 3)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || !eqExact(got[i], want) {
+			t.Errorf("concurrent draw %d = %v, %v; want %v", i, got[i], errs[i], want)
+		}
+	}
+	if again, err := s.draw(cancelled, g, gpu.T4, 5, 3); err != nil || !eqExact(again, want) {
+		t.Errorf("kept draw = %v, %v; want %v", again, err, want)
 	}
 }

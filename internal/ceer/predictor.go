@@ -99,6 +99,28 @@ func Train(bundle *trace.Bundle, commObs []CommObs) (*Predictor, error) {
 	return TrainWithDegree(bundle, commObs, 0)
 }
 
+// retainedSamples gathers the retained raw samples of every series of
+// one op class, in bundle order, into a slice sized up front.
+func retainedSamples(bundle *trace.Bundle, class *Classification, c ops.Class) []float64 {
+	n := 0
+	for _, prof := range bundle.Profiles {
+		for _, s := range prof.Series {
+			if class.Of(s.OpType) == c {
+				n += len(s.Agg.Retained())
+			}
+		}
+	}
+	out := make([]float64, 0, n)
+	for _, prof := range bundle.Profiles {
+		for _, s := range prof.Series {
+			if class.Of(s.OpType) == c {
+				out = append(out, s.Agg.Retained()...)
+			}
+		}
+	}
+	return out
+}
+
 // TrainWithDegree is Train with the per-op polynomial degree forced:
 // 1 = all-linear, 2 = all-quadratic (falling back to linear only when a
 // quadratic cannot be fit), 0 = automatic selection (Section IV-B).
@@ -165,17 +187,8 @@ func TrainWithDegree(bundle *trace.Bundle, commObs []CommObs, degree int) (*Pred
 
 	// Median estimators over all light / CPU op instances across all
 	// GPUs and CNNs (raw retained samples).
-	var lightSamples, cpuSamples []float64
-	for _, prof := range bundle.Profiles {
-		for _, s := range prof.Series {
-			switch class.Of(s.OpType) {
-			case ops.LightGPU:
-				lightSamples = append(lightSamples, s.Agg.Retained()...)
-			case ops.CPU:
-				cpuSamples = append(cpuSamples, s.Agg.Retained()...)
-			}
-		}
-	}
+	lightSamples := retainedSamples(bundle, class, ops.LightGPU)
+	cpuSamples := retainedSamples(bundle, class, ops.CPU)
 	if len(lightSamples) == 0 || len(cpuSamples) == 0 {
 		return nil, fmt.Errorf("ceer: bundle lacks light (%d) or CPU (%d) samples",
 			len(lightSamples), len(cpuSamples))

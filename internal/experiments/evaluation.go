@@ -510,8 +510,13 @@ func (r *CostMinResult) Table() *textutil.Table {
 	}
 	t.AddNote("* = Ceer's recommendation; observed optimum = %s", r.BestObserved)
 	t.AddNote("average cost |error| = %s (paper: 2.1%%)", textutil.Pct(r.AvgAbsErr))
-	for name, ratio := range r.RatioVs {
-		t.AddNote("%s costs %.1fx Ceer's pick", name, ratio)
+	names := make([]string, 0, len(r.RatioVs))
+	for name := range r.RatioVs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.AddNote("%s costs %.1fx Ceer's pick", name, r.RatioVs[name])
 	}
 	return t
 }

@@ -192,7 +192,9 @@ func checkMapRangeAssign(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, as *as
 }
 
 // isEmissionCall reports whether a call writes a line out: the fmt
-// print family, or a Write/WriteString-style method.
+// print family, a Write/WriteString-style method, or a row or note
+// added to a report table (internal/textutil.Table), whose order is
+// the rendered order.
 func isEmissionCall(pass *Pass, call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -201,6 +203,9 @@ func isEmissionCall(pass *Pass, call *ast.CallExpr) bool {
 				return true
 			}
 			if fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Fprint") {
+				return true
+			}
+			if isTableEmission(fn) {
 				return true
 			}
 		}
@@ -213,6 +218,28 @@ func isEmissionCall(pass *Pass, call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// tablePkg is the report-table package, matched by path suffix the way
+// Analyzer.Scope matches packages.
+const tablePkg = "internal/textutil"
+
+// isTableEmission reports whether fn is (*Table).AddRow or AddNote of
+// the report-table package.
+func isTableEmission(fn *types.Func) bool {
+	if fn.Name() != "AddRow" && fn.Name() != "AddNote" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	return ok && named.Obj().Name() == "Table" && inScope([]string{tablePkg}, fn.Pkg().Path())
 }
 
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"time"
+
+	"example.com/determinism/internal/textutil"
 )
 
 // BadClock stamps results with the wall clock.
@@ -38,5 +40,20 @@ func BadCollect(m map[string]int) []string {
 func BadEmit(m map[string]int) {
 	for k, v := range m {
 		fmt.Printf("%s=%d\n", k, v) // want `emits output inside map iteration`
+	}
+}
+
+// BadNotes adds report footnotes in map order: a table renders its
+// rows and notes in the order they were added.
+func BadNotes(t *textutil.Table, ratios map[string]float64) {
+	for name, r := range ratios {
+		t.AddNote("%s costs %.1fx", name, r) // want `emits output inside map iteration`
+	}
+}
+
+// BadRows adds report rows in map order.
+func BadRows(t *textutil.Table, m map[string]string) {
+	for k, v := range m {
+		t.AddRow(k, v) // want `emits output inside map iteration`
 	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"math/rand"
 	"sort"
+
+	"example.com/determinism/internal/textutil"
 )
 
 // CleanCollect sorts after collecting, laundering map order out: the
@@ -21,4 +23,17 @@ func CleanCollect(m map[string]int) []string {
 func CleanRand(seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
 	return r.Float64()
+}
+
+// CleanNotes collects and sorts the keys first, so the footnotes render
+// in name order on every run.
+func CleanNotes(t *textutil.Table, ratios map[string]float64) {
+	names := make([]string, 0, len(ratios))
+	for name := range ratios {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.AddNote("%s costs %.1fx", name, ratios[name])
+	}
 }

@@ -104,19 +104,40 @@ func (p *Profiler) Profile(ctx context.Context, g *graph.Graph, m gpu.ID) (*trac
 			Agg:         trace.NewAgg(p.Retain),
 		}
 	}
+	costs := nodeCosts(dev, nodes)
 	for iter := 0; iter < p.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		total := 0.0
-		for i, n := range nodes {
-			t := dev.SampleTime(n.Op, streams[i])
+		for i, c := range costs {
+			t := c.sample(streams[i])
 			prof.Series[i].Agg.Add(t)
 			total += t
 		}
 		prof.IterTotal.Add(total)
 	}
 	return prof, nil
+}
+
+// nodeCost is the loop-invariant half of one node's measurement on a
+// device: the noiseless time and the noise level of its op. Both are
+// fixed per (device, op), so they are evaluated once per (graph,
+// device) and every iteration draws only the noise.
+type nodeCost struct{ base, sigma float64 }
+
+func nodeCosts(dev *gpu.Device, nodes []*graph.Node) []nodeCost {
+	costs := make([]nodeCost, len(nodes))
+	for i, n := range nodes {
+		costs[i] = nodeCost{base: dev.BaseTime(n.Op), sigma: dev.Sigma(n.Op)}
+	}
+	return costs
+}
+
+// sample draws one noisy time from the node's stream: the same
+// expression, and so the same bits, as dev.SampleTime.
+func (c nodeCost) sample(src *rng.Source) float64 {
+	return c.base * src.LogNormalFactor(c.sigma)
 }
 
 // ProfileAll profiles each named CNN (built at the given batch size) on
@@ -182,6 +203,20 @@ func (m Measurement) CostUSD(p cloud.Pricing) (float64, error) {
 // by k while each iteration pays the communication overhead
 // S(GPU, k, params).
 func Train(ctx context.Context, g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, measureIters int, seed uint64) (Measurement, error) {
+	return TrainWith(ctx, g, cfg, ds, measureIters, seed, MeanCompute)
+}
+
+// ComputeFunc supplies the compute half of a Train measurement: the
+// mean summed op time per iteration of g on device m. MeanCompute
+// draws it.
+type ComputeFunc func(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int, seed uint64) (float64, error)
+
+// TrainWith is Train with the compute mean taken from compute, which
+// must return what MeanCompute returns for the same arguments. No node
+// stream involves the GPU count k, so that mean is the same at every k:
+// a caller measuring several k of one graph and device may pass a
+// compute that draws it once and shares it.
+func TrainWith(ctx context.Context, g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, measureIters int, seed uint64, compute ComputeFunc) (Measurement, error) {
 	if !cfg.Valid() {
 		return Measurement{}, faults.Permanentf("sim: invalid config %s", cfg)
 	}
@@ -192,42 +227,66 @@ func Train(ctx context.Context, g *graph.Graph, cfg cloud.Config, ds dataset.Dat
 	if !ok {
 		return Measurement{}, faults.Permanentf("sim: unknown GPU device %q", string(cfg.GPU))
 	}
+	commStream := rng.New(seed ^ hashString(g.Name)).Derive(0xC0111 ^ dev.SeedID<<16 ^ uint64(cfg.K))
+	var comm float64
+	for iter := 0; iter < measureIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return Measurement{}, err
+		}
+		s, err := cloud.SampleCommOverhead(cfg.GPU, cfg.K, g.Params, commStream)
+		if err != nil {
+			return Measurement{}, err
+		}
+		comm += s
+	}
+	comm /= float64(measureIters)
+	meanCompute, err := compute(ctx, g, cfg.GPU, measureIters, seed)
+	if err != nil {
+		return Measurement{}, err
+	}
+
+	iters := ds.Iterations(cfg.K, g.BatchSize)
+	perIter := meanCompute + comm
+	return Measurement{
+		CNN:            g.Name,
+		Cfg:            cfg,
+		PerIterSeconds: perIter,
+		ComputeSeconds: meanCompute,
+		CommSeconds:    comm,
+		Iterations:     iters,
+		TotalSeconds:   perIter * float64(iters),
+	}, nil
+}
+
+// MeanCompute draws Train's compute mean: the summed op time of g on
+// device m per iteration, averaged over measureIters iterations. Its
+// node streams are derived from (seed, CNN, device, node) alone.
+func MeanCompute(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int, seed uint64) (float64, error) {
+	if measureIters <= 0 {
+		return 0, faults.Permanentf("sim: measureIters must be positive, got %d", measureIters)
+	}
+	dev, ok := gpu.Lookup(m)
+	if !ok {
+		return 0, faults.Permanentf("sim: unknown GPU device %q", string(m))
+	}
 	nodes := g.Nodes()
 	base := rng.New(seed ^ hashString(g.Name))
 	streams := make([]*rng.Source, len(nodes))
 	for i, n := range nodes {
 		streams[i] = base.Derive(dev.SeedID<<32 ^ uint64(n.ID))
 	}
-	commStream := base.Derive(0xC0111 ^ dev.SeedID<<16 ^ uint64(cfg.K))
+	costs := nodeCosts(dev, nodes)
 
-	var compute, comm float64
+	var compute float64
 	for iter := 0; iter < measureIters; iter++ {
 		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
+			return 0, err
 		}
 		iterCompute := 0.0
-		for i, n := range nodes {
-			iterCompute += dev.SampleTime(n.Op, streams[i])
-		}
-		s, err := cloud.SampleCommOverhead(cfg.GPU, cfg.K, g.Params, commStream)
-		if err != nil {
-			return Measurement{}, err
+		for i, c := range costs {
+			iterCompute += c.sample(streams[i])
 		}
 		compute += iterCompute
-		comm += s
 	}
-	compute /= float64(measureIters)
-	comm /= float64(measureIters)
-
-	iters := ds.Iterations(cfg.K, g.BatchSize)
-	perIter := compute + comm
-	return Measurement{
-		CNN:            g.Name,
-		Cfg:            cfg,
-		PerIterSeconds: perIter,
-		ComputeSeconds: compute,
-		CommSeconds:    comm,
-		Iterations:     iters,
-		TotalSeconds:   perIter * float64(iters),
-	}, nil
+	return compute / float64(measureIters), nil
 }

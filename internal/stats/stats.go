@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -67,32 +68,107 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample
-// and clamps p into [0, 100].
+// and clamps p into [0, 100]. It selects the one or two order
+// statistics it needs in expected linear time instead of sorting, and
+// returns what interpolating the sorted sample returns (NaNs order
+// first, as sort.Float64s places them).
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
+	s := make([]float64, len(xs))
+	copy(s, xs)
 	if p <= 0 {
-		return sorted[0]
+		return selectKth(s, 0)
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return selectKth(s, len(s)-1)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(len(s)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	vlo := selectKth(s, lo)
 	if lo == hi {
-		return sorted[lo]
+		return vlo
 	}
+	// selectKth leaves the larger order statistics in s[hi:] (hi is
+	// lo+1), so the next one is their least.
+	vhi := least(s[hi:])
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return vlo*(1-frac) + vhi*frac
+}
+
+// least returns the first element of xs in sort.Float64s's order:
+// NaNs first, then ascending.
+func least(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m || (math.IsNaN(x) && !math.IsNaN(m)) {
+			m = x
+		}
+	}
+	return m
+}
+
+// median3 returns the median of three values, none of them NaN.
+func median3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = max(a, c)
+	}
+	return b
+}
+
+// selectKth reorders s so that s[k] holds the element sort.Float64s
+// would put there, nothing after it orders before it, and returns s[k].
+// It is a three-way quickselect (median-of-three pivots, so runs of
+// equal values cost one pass) that falls back to sorting the remaining
+// range if pivots keep splitting it badly.
+func selectKth(s []float64, k int) float64 {
+	nan := 0
+	for i, x := range s {
+		if math.IsNaN(x) {
+			s[i], s[nan] = s[nan], x
+			nan++
+		}
+	}
+	if k < nan {
+		return s[k]
+	}
+	lo, hi := nan, len(s)
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[lo:hi])
+			break
+		}
+		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi-1])
+		// Partition s[lo:hi] into < pivot, == pivot, > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := s[i]; {
+			case x < pivot:
+				s[lt], s[i] = x, s[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				s[gt], s[i] = x, s[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // MinMax returns the smallest and largest values of xs. It returns

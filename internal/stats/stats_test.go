@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -265,3 +266,85 @@ func TestQuantileRoundtripProperty(t *testing.T) {
 // test here: small-integer inputs make these
 // aggregates exact in IEEE arithmetic.
 func eqExact(a, b float64) bool { return a == b }
+
+// percentileBySort is the copy-and-sort Percentile that order-statistic
+// selection replaced, kept as the reference it must reproduce.
+func percentileBySort(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// eqExactOrNaN is == with NaN equal to NaN (so -0 equals +0).
+func eqExactOrNaN(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// Property: Percentile equals the copy-and-sort reference under == for
+// every p, on samples with heavy duplicates, ±Inf, NaN and ±0, and it
+// leaves its input untouched.
+func TestPercentileMatchesSortProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	ps := []float64{-3, 0, 1e-9, 25, 50, 99.9, 100, 250}
+	draw := func(distinct []float64, specialShare float64) float64 {
+		if r.Float64() < specialShare {
+			return specials[r.Intn(len(specials))]
+		}
+		if distinct != nil {
+			return distinct[r.Intn(len(distinct))]
+		}
+		return r.NormFloat64() * 1e3
+	}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(40)
+		if trial%10 == 0 {
+			n = 1 + r.Intn(4000)
+		}
+		var distinct []float64
+		if r.Intn(2) == 0 { // heavy duplicates: a handful of values
+			distinct = make([]float64, 1+r.Intn(4))
+			for i := range distinct {
+				distinct[i] = float64(r.Intn(7) - 3)
+			}
+		}
+		specialShare := []float64{0, 0.05, 0.5, 1}[r.Intn(4)]
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = draw(distinct, specialShare)
+		}
+		switch r.Intn(4) { // presorted runs are quickselect's classic bad cases
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		orig := append([]float64(nil), xs...)
+		for _, p := range ps {
+			got, want := Percentile(xs, p), percentileBySort(xs, p)
+			if !eqExactOrNaN(got, want) {
+				t.Fatalf("trial %d: Percentile(%v, %v) = %v, sort reference %v", trial, xs, p, got, want)
+			}
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: Percentile modified its input at %d", trial, i)
+			}
+		}
+	}
+}

@@ -66,6 +66,11 @@ func (a *Agg) Add(x float64) {
 		a.max = x
 	}
 	if len(a.retained) < a.cap {
+		if a.retained == nil {
+			// One allocation for the whole reservoir, not append's
+			// doublings on the way up to it.
+			a.retained = make([]float64, 0, a.cap)
+		}
 		a.retained = append(a.retained, x)
 	}
 }

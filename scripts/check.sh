@@ -3,7 +3,7 @@
 # vet, build, the full test suite, a race-detector pass over the whole
 # module, the ceer-lint static-analysis suite, the escape-analysis
 # cross-check, the calibration golden gate, the chaos determinism
-# gate, and a bench smoke run.
+# gate, the experiments determinism gate, and a bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +58,24 @@ echo "== chaos determinism gate"
 # any worker count and leave no residue in the trained models
 # (scripts/chaos.sh).
 ./scripts/chaos.sh >/dev/null
+
+echo "== experiments determinism gate"
+# The paper-figure report must be byte-identical serial and parallel:
+# every table, row and footnote in the same order. Only stdout is
+# compared; the timing line goes to stderr, shown if a run fails.
+exp_out="$(mktemp -d)"
+for workers in 1 2; do
+    if ! go run ./cmd/ceer-experiments -workers "${workers}" \
+        >"${exp_out}/w${workers}.txt" 2>"${exp_out}/w${workers}.err"; then
+        cat "${exp_out}/w${workers}.err" >&2
+        exit 1
+    fi
+done
+if ! cmp "${exp_out}/w1.txt" "${exp_out}/w2.txt"; then
+    echo "experiments determinism gate FAILED: -workers 1 and 2 reports differ" >&2
+    exit 1
+fi
+rm -rf "${exp_out}"
 
 echo "== live-daemon chaos suite"
 # A daemon built with -tags chaosserve under real faults: kill -9
