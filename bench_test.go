@@ -383,7 +383,7 @@ var (
 	servingErr  error
 )
 
-// servingPredictor is the shared (warm-memo) predictor for the
+// servingPredictor is the shared trained predictor for the
 // per-iteration benches.
 func servingPredictor(b *testing.B) *ceer.Predictor {
 	b.Helper()
@@ -397,28 +397,8 @@ func servingPredictor(b *testing.B) *ceer.Predictor {
 	return servingPred
 }
 
-// BenchmarkPredictIterationFolded measures the warm folded serving path
-// on the deepest zoo CNN; unique-frac is the fold's class-to-node ratio
-// (the work reduction per prediction).
-func BenchmarkPredictIterationFolded(b *testing.B) {
-	p := servingPredictor(b)
-	g := zoo.MustBuild("resnet-152", 32)
-	if _, err := p.PredictIteration(g, gpu.V100, 4, ceer.Full); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictIteration(g, gpu.V100, 4, ceer.Full); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(g.Fold().Len())/float64(g.Len()), "unique-frac")
-}
-
-// BenchmarkPredictIterationUnfolded is the naive per-node reference for
-// the bench above.
+// BenchmarkPredictIterationUnfolded is the naive per-node oracle on the
+// deepest zoo CNN, the reference for BenchmarkPredictIterationCompiled.
 func BenchmarkPredictIterationUnfolded(b *testing.B) {
 	p := servingPredictor(b)
 	g := zoo.MustBuild("resnet-152", 32)
@@ -456,11 +436,11 @@ func servingCompiled(b *testing.B) (*ceer.CompiledPredictor, []*graph.Graph) {
 	return servingCore, servingGraphs
 }
 
-// BenchmarkPredictIterationCompiled measures the compiled serving core
-// on the same deepest-CNN prediction as the folded bench above: a pure
-// gather-and-sum over the precompiled flat tables, no memo, no mutex,
-// no allocation even on the first call. "table-kb" is the resident
-// size of the whole zoo-wide table.
+// BenchmarkPredictIterationCompiled measures the compiled tables on
+// the same deepest-CNN prediction as the unfolded bench above: a pure
+// gather-and-sum over the precompiled flat tables, no mutex, no
+// allocation even on the first call. "table-kb" is the resident size
+// of the whole zoo-wide table.
 func BenchmarkPredictIterationCompiled(b *testing.B) {
 	core, graphs := servingCompiled(b)
 	var g *graph.Graph
@@ -504,16 +484,32 @@ func BenchmarkCompileZoo(b *testing.B) {
 	b.ReportMetric(float64(core.Stats().BuildEvals), "build-evals")
 }
 
+// BenchmarkCompileOneGraph measures what a graph outside the compiled
+// set costs: ForGraph compiles it alone (fold, batch-evaluate its
+// classes on every device, precompute its comm terms) before the first
+// table gather. A request at a non-default batch size pays this once.
+func BenchmarkCompileOneGraph(b *testing.B) {
+	p := servingPredictor(b)
+	g := zoo.MustBuild("resnet-152", 32)
+	g.Fold() // built once per graph and cached, as for a served graph
+	graphs := []*graph.Graph{g}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ceer.Compile(p, graphs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRecommendSweep serves the entire zoo through the compiled
 // recommender — one RecommendInto table scan per CNN over all device×k
 // candidates — and reports, against references measured in the same
 // process: "speedup-vs-naive" (wall-clock vs a per-node unfolded
-// sweep), "speedup-vs-folded" (wall-clock vs the warm folded
-// per-predictor-memo sweep, the PR 3 serving path), "eval-reduction-x"
-// (cold regression evaluations, naive / folded), and "compile-ms" (the
-// one-time table build the compiled path amortizes). The steady state
-// is allocation-free: every prediction is a gather over immutable flat
-// tables into caller-owned Recommendations.
+// sweep) and "compile-ms" (the one-time table build the compiled path
+// amortizes). The steady state is allocation-free: every prediction is
+// a gather over immutable flat tables into caller-owned
+// Recommendations.
 func BenchmarkRecommendSweep(b *testing.B) {
 	pl := servingPipeline()
 	p, _, err := pl.TrainOn(context.Background(), zoo.Build, zoo.TrainingSet())
@@ -525,16 +521,8 @@ func BenchmarkRecommendSweep(b *testing.B) {
 		graphs = append(graphs, zoo.MustBuild(name, 32))
 	}
 	cands := cloud.Configs(4)
-	foldedSweep := func() {
-		for _, g := range graphs {
-			if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, ceer.MinimizeCost); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 
-	// Naive reference: every candidate through the per-node path.
-	base := p.ModelEvaluations()
+	// Naive reference: every candidate through the per-node oracle.
 	start := time.Now()
 	for _, g := range graphs {
 		for _, cfg := range cands {
@@ -544,22 +532,6 @@ func BenchmarkRecommendSweep(b *testing.B) {
 		}
 	}
 	naiveSec := time.Since(start).Seconds()
-	naiveEvals := p.ModelEvaluations() - base
-
-	// Folded reference: cold sweep pays the memo fill, then a warm
-	// steady state (the PR 3 serving path).
-	base = p.ModelEvaluations()
-	foldedSweep()
-	coldEvals := p.ModelEvaluations() - base
-	if coldEvals == 0 {
-		b.Fatal("cold folded sweep ran zero evaluations")
-	}
-	const foldedReps = 10
-	start = time.Now()
-	for i := 0; i < foldedReps; i++ {
-		foldedSweep()
-	}
-	foldedSec := time.Since(start).Seconds() / foldedReps
 
 	// Compile the zoo-wide tables (the cost the compiled path pays
 	// once), then sweep through caller-owned Recommendations.
@@ -585,11 +557,9 @@ func BenchmarkRecommendSweep(b *testing.B) {
 		sweep()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(naiveEvals)/float64(coldEvals), "eval-reduction-x")
 	b.ReportMetric(compileSec*1e3, "compile-ms")
 	if compiledSec := b.Elapsed().Seconds() / float64(b.N); compiledSec > 0 {
 		b.ReportMetric(naiveSec/compiledSec, "speedup-vs-naive")
-		b.ReportMetric(foldedSec/compiledSec, "speedup-vs-folded")
 	}
 }
 

@@ -74,7 +74,7 @@ type (
 	// and objective score inside a Recommendation.
 	Candidate = internal.Candidate
 	// Explanation attributes a predicted iteration to operation types
-	// (see Predictor.ExplainIteration).
+	// (see CompiledSystem.ExplainIteration).
 	Explanation = internal.Explanation
 	// Objective scores (training seconds, cost USD); lower is better.
 	Objective = internal.Objective
@@ -94,11 +94,12 @@ type (
 	Coverage = internal.Coverage
 	// PersistError is the typed failure of loading a saved predictor.
 	PersistError = internal.PersistError
-	// CompiledSystem is a compiled serving core: the full per-(device,
-	// signature-class) prediction table evaluated ahead of time, so
-	// predictions and recommendations over the compiled zoo are pure
+	// CompiledSystem is the compiled prediction tables: the full
+	// per-(device, signature-class) prediction table evaluated ahead of
+	// time, so predictions, recommendations and explanations are pure
 	// table gathers — lock-free, allocation-free, safe for concurrent
-	// readers. Obtain one from System.Compiled.
+	// readers. Obtain one from System.Compiled; ForGraph covers a graph
+	// outside its set.
 	CompiledSystem = internal.CompiledPredictor
 	// CompiledBox atomically publishes a CompiledSystem for hot-swap in
 	// serving loops.
@@ -120,11 +121,6 @@ type (
 	// with NewFaultInjector to fault-inject a calibration replay.
 	FaultInjector = faults.Injector
 )
-
-// ErrNotCompiled reports a prediction against a graph or device outside
-// a CompiledSystem's compiled set (check with errors.Is; fall back to
-// the uncompiled System methods).
-var ErrNotCompiled = internal.ErrNotCompiled
 
 // Sentinel causes carried inside a PersistError (check with errors.Is)
 // so reload paths can report why a model file was rejected: a stale
@@ -349,7 +345,7 @@ func (s *System) Coverage() Coverage { return s.coverage }
 func (s *System) DegradedDevices() []GPUModel { return s.pred.DegradedDevices() }
 
 // Predictor exposes the underlying trained predictor for advanced use
-// (op-model inspection, ablation variants).
+// (op-model inspection, the PredictIterationUnfolded test oracle).
 func (s *System) Predictor() *internal.Predictor { return s.pred }
 
 // Save serializes the trained models as JSON, so a system can be
@@ -380,19 +376,38 @@ func LoadFile(path string) (*System, error) {
 // PredictTraining predicts the end-to-end training time and cost of one
 // epoch of ds on cfg.
 func (s *System) PredictTraining(g *Graph, cfg InstanceConfig, ds Dataset, p Pricing) (Prediction, error) {
-	return s.pred.PredictTraining(g, cfg, ds, p)
+	return s.PredictTrainingVariant(g, cfg, ds, p, Full)
 }
 
 // PredictTrainingVariant is PredictTraining under an ablation variant.
 func (s *System) PredictTrainingVariant(g *Graph, cfg InstanceConfig, ds Dataset, p Pricing, v Variant) (Prediction, error) {
-	return s.pred.PredictTrainingVariant(g, cfg, ds, p, v)
+	c, err := s.compiledFor(g)
+	if err != nil {
+		return Prediction{}, err
+	}
+	return c.PredictTrainingVariant(g, cfg, ds, p, v)
 }
 
 // Recommend evaluates the candidates and returns the feasible one
 // minimizing the objective, plus every candidate's prediction.
 func (s *System) Recommend(g *Graph, ds Dataset, p Pricing, candidates []InstanceConfig,
 	obj Objective, constraints ...Constraint) (Recommendation, error) {
-	return s.pred.Recommend(g, ds, p, candidates, obj, constraints...)
+	c, err := s.compiledFor(g)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	return c.Recommend(g, ds, p, candidates, obj, constraints...)
+}
+
+// compiledFor returns compiled tables covering g: the zoo tables at
+// g's batch size, or g compiled alone when it is not a cached zoo
+// graph.
+func (s *System) compiledFor(g *Graph) (*CompiledSystem, error) {
+	c, err := s.Compiled(g.BatchSize)
+	if err != nil {
+		return nil, err
+	}
+	return c.ForGraph(g)
 }
 
 // Compiled returns the system's compiled serving core for the built-in
@@ -402,8 +417,8 @@ func (s *System) Recommend(g *Graph, ds Dataset, p Pricing, candidates []Instanc
 // recommendations over zoo graphs are lock-free table gathers. The
 // result is cached per batch size and safe for concurrent use; graphs
 // must come from BuildModelCached (the compiled set is keyed by graph
-// identity). For graphs outside the zoo, use the System methods
-// directly (or check for ErrNotCompiled and fall back).
+// identity). For any other graph, CompiledSystem.ForGraph compiles it
+// alone from the same predictor; the System methods do so per call.
 func (s *System) Compiled(batch int64) (*CompiledSystem, error) {
 	if batch == 0 {
 		batch = zoo.DefaultBatch

@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -494,11 +493,6 @@ func cmdPredict(args []string) (err error) {
 	}
 	for _, cfg := range cfgs {
 		pred, err := comp.PredictTraining(g, cfg, ds, pricing)
-		if errors.Is(err, ceer.ErrNotCompiled) {
-			// Outside the compiled set (e.g. a device registered after
-			// compilation): fall back to the folded path.
-			pred, err = sys.PredictTraining(g, cfg, ds, pricing)
-		}
 		if err != nil {
 			return err
 		}
@@ -516,7 +510,7 @@ func cmdPredict(args []string) (err error) {
 	}
 	if *explain {
 		for _, cfg := range cfgs {
-			if err := renderExplanation(sys, g, cfg); err != nil {
+			if err := renderExplanation(comp, g, cfg); err != nil {
 				return err
 			}
 		}
@@ -528,7 +522,7 @@ func cmdPredict(args []string) (err error) {
 				continue
 			}
 			seen[cfg.GPU] = true
-			if err := renderNodeExplanation(sys, g, cfg.GPU, *explainNodes); err != nil {
+			if err := renderNodeExplanation(comp, g, cfg.GPU, *explainNodes); err != nil {
 				return err
 			}
 		}
@@ -539,8 +533,11 @@ func cmdPredict(args []string) (err error) {
 // renderNodeExplanation prints the top node-level contributions of one
 // device's predicted iteration (compute only; communication has no node
 // to attach to).
-func renderNodeExplanation(sys *ceer.System, g *ceer.Graph, m gpu.ID, top int) error {
-	nodes := sys.Predictor().ExplainNodes(g, m)
+func renderNodeExplanation(comp *ceer.CompiledSystem, g *ceer.Graph, m gpu.ID, top int) error {
+	nodes, err := comp.ExplainNodes(g, m)
+	if err != nil {
+		return err
+	}
 	tbl := &textutil.Table{
 		Title:  fmt.Sprintf("Per-node attribution: %s on %s (top %d of %d)", g.Name, m, top, len(nodes)),
 		Header: []string{"node", "operation", "class", "phase", "ms/iter"},
@@ -558,8 +555,8 @@ func renderNodeExplanation(sys *ceer.System, g *ceer.Graph, m gpu.ID, top int) e
 
 // renderExplanation prints the per-op-type attribution of one
 // configuration's predicted iteration.
-func renderExplanation(sys *ceer.System, g *ceer.Graph, cfg ceer.InstanceConfig) error {
-	ex, err := sys.Predictor().ExplainIteration(g, cfg.GPU, cfg.K)
+func renderExplanation(comp *ceer.CompiledSystem, g *ceer.Graph, cfg ceer.InstanceConfig) error {
+	ex, err := comp.ExplainIteration(g, cfg.GPU, cfg.K)
 	if err != nil {
 		return err
 	}
@@ -643,17 +640,13 @@ func cmdRecommend(args []string) (err error) {
 	if *memory {
 		constraints = append(constraints, ceer.FitsGPUMemory(g))
 	}
-	// Sweep through the compiled zoo-wide tables (one up-front compile,
-	// then the sweep is a pure table scan), falling back to the folded
-	// path for anything outside the compiled set.
+	// Sweep through the compiled zoo-wide tables: one up-front compile,
+	// then the sweep is a pure table scan.
 	comp, err := sys.Compiled(*batch)
 	if err != nil {
 		return err
 	}
 	rec, err := comp.Recommend(g, ds, pricing, ceer.AllConfigs(4), obj, constraints...)
-	if errors.Is(err, ceer.ErrNotCompiled) {
-		rec, err = sys.Recommend(g, ds, pricing, ceer.AllConfigs(4), obj, constraints...)
-	}
 	if err != nil {
 		return err
 	}

@@ -78,12 +78,19 @@ func TestRenderExplanationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ceer.BuildModel("alexnet", 8)
+	g, err := ceer.BuildModelCached("alexnet", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := sys.Compiled(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg, _ := ceer.Config("P3", 1) // known-valid config; the error path has its own test
-	if err := renderExplanation(sys, g, cfg); err != nil {
+	if err := renderExplanation(comp, g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := renderNodeExplanation(comp, g, cfg.GPU, 5); err != nil {
 		t.Fatal(err)
 	}
 }

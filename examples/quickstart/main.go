@@ -22,7 +22,7 @@ func main() {
 
 	// 2. Build a held-out CNN (never seen during training) at the
 	//    paper's default per-GPU batch size of 32.
-	g, err := ceer.BuildModel("inception-v3", 32)
+	g, err := ceer.BuildModelCached("inception-v3", 32)
 	if err != nil {
 		log.Fatal(err)
 	}

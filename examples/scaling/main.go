@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := ceer.BuildModel(model, 32)
+	g, err := ceer.BuildModelCached(model, 32)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,17 @@ func main() {
 	}
 	cfg, _ := ceer.Config("G4", 1) // known-valid config; the error path has its own test
 	ds := ceer.ImageNetSubset6400
-	pred, err := sys.PredictTraining(g, cfg, ds, ceer.OnDemand)
+	// The custom graph is outside the compiled zoo: ForGraph compiles it
+	// alone, and both the prediction and its attribution read that table.
+	zooTables, err := sys.Compiled(g.BatchSize)
+	if err != nil {
+		log.Fatal(err)
+	}
+	comp, err := zooTables.ForGraph(g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pred, err := comp.PredictTraining(g, cfg, ds, ceer.OnDemand)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func main() {
 	//    for this example it is enough to show the honest failure mode
 	//    and the detection signal above.)
 	fmt.Println("\nPer-op attribution of the degraded prediction:")
-	ex, err := sys.Predictor().ExplainIteration(g, cfg.GPU, cfg.K)
+	ex, err := comp.ExplainIteration(g, cfg.GPU, cfg.K)
 	if err != nil {
 		log.Fatal(err)
 	}

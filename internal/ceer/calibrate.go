@@ -8,9 +8,9 @@ package ceer
 // elapses — re-solves that cell's model from the accumulated
 // statistics and publishes a recalibrated predictor. Publication is
 // copy-on-write: the served Predictor is never mutated; a refit clones
-// it with the one op model replaced (and a fresh memo), and, when a
-// CompiledBox is bound, compiles and atomically hot-swaps the serving
-// tables so concurrent readers never observe a half-updated model.
+// it with the one op model replaced, and, when a CompiledBox is bound,
+// compiles and atomically hot-swaps the serving tables so concurrent
+// readers never observe a half-updated model.
 //
 // Everything is deterministic: the same observation sequence against
 // the same starting predictor produces the same refits, the same
@@ -274,10 +274,9 @@ func (c *Calibrator) refit(om *OpModel, cl *calibCell) error {
 }
 
 // withOpModel returns a copy-on-write clone of the predictor with one
-// op model replaced. The clone gets fresh op-model maps and an empty
-// memo (the replaced model invalidates memoized predictions for its
-// device); classification, comm models, medians, and degraded flags
-// are shared — they are immutable after training.
+// op model replaced. The clone gets fresh op-model maps;
+// classification, comm models, medians, and degraded flags are shared —
+// they are immutable after training.
 func (p *Predictor) withOpModel(next *OpModel) *Predictor {
 	q := &Predictor{
 		Class:       p.Class,

@@ -66,7 +66,7 @@ func TestCalibrateDriftHotSwap(t *testing.T) {
 		graphs[i] = zoo.MustBuild(name, 32)
 	}
 	g := graphs[0]
-	orig, err := pred.PredictIteration(g, gpu.T4, 1, Full)
+	orig, err := compileFor(t, pred, g).PredictIteration(g, gpu.T4, 1, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCalibrateDriftHotSwap(t *testing.T) {
 
 	// The recalibrated predictor has moved toward the slowed timings,
 	// and the box serves it.
-	recal, err := cal.Predictor().PredictIteration(g, gpu.T4, 1, Full)
+	recal, err := compileFor(t, cal.Predictor(), g).PredictIteration(g, gpu.T4, 1, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCalibrateDriftHotSwap(t *testing.T) {
 		t.Error("box should serve the latest recalibrated predictor")
 	}
 	// The original predictor was never mutated: copy-on-write refits.
-	after, err := pred.PredictIteration(g, gpu.T4, 1, Full)
+	after, err := compileFor(t, pred, g).PredictIteration(g, gpu.T4, 1, Full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
+	"ceer/internal/graph"
 	"ceer/internal/ops"
 	"ceer/internal/sim"
 	"ceer/internal/stats"
@@ -41,6 +42,17 @@ func predictor(t *testing.T) (*Predictor, *trace.Bundle) {
 		t.Fatal(trainErr)
 	}
 	return trained, trainBundle
+}
+
+// compileFor compiles p over the given graphs, failing the test on
+// error — the one prediction path every test reads from.
+func compileFor(t testing.TB, p *Predictor, graphs ...*graph.Graph) *CompiledPredictor {
+	t.Helper()
+	c, err := Compile(p, graphs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestClassificationMatchesPaper(t *testing.T) {
@@ -214,6 +226,7 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 	var errs []float64
 	for _, name := range zoo.TestSet() {
 		g := zoo.MustBuild(name, 32)
+		c := compileFor(t, p, g)
 		for _, m := range gpu.All() {
 			for _, k := range []int{1, 4} {
 				cfg := cloud.Config{GPU: m, K: k}
@@ -221,7 +234,7 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pred, err := p.PredictTraining(g, cfg, ds, cloud.OnDemand)
+				pred, err := c.PredictTraining(g, cfg, ds, cloud.OnDemand)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,6 +259,7 @@ func TestPredictedRankingMatchesObserved(t *testing.T) {
 	ds := dataset.ImageNetSubset6400
 	for _, name := range zoo.TestSet() {
 		g := zoo.MustBuild(name, 32)
+		c := compileFor(t, p, g)
 		type pair struct {
 			obs, pred float64
 		}
@@ -256,7 +270,7 @@ func TestPredictedRankingMatchesObserved(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := p.PredictTraining(g, cfg, ds, cloud.OnDemand)
+			pred, err := c.PredictTraining(g, cfg, ds, cloud.OnDemand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,16 +292,17 @@ func TestAblations(t *testing.T) {
 	p, _ := predictor(t)
 	ds := dataset.ImageNetSubset6400
 	g := zoo.MustBuild("alexnet", 32)
+	c := compileFor(t, p, g)
 	cfg := cloud.Config{GPU: gpu.V100, K: 1}
 	obs, err := sim.Train(context.Background(), g, cfg, ds, 25, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := p.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, Full)
+	full, err := c.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noComm, err := p.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, NoComm)
+	noComm, err := c.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, NoComm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +321,7 @@ func TestAblations(t *testing.T) {
 	}
 
 	// Heavy-only must underestimate vs full (dropping positive terms).
-	heavyOnly, err := p.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, HeavyOnly)
+	heavyOnly, err := c.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, HeavyOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +344,7 @@ func TestRecommendCostMinimization(t *testing.T) {
 	// Figure 11: minimizing cost for Inception-v3 picks the 1-GPU G4.
 	p, _ := predictor(t)
 	g := zoo.MustBuild("inception-v3", 32)
-	rec, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost)
+	rec, err := compileFor(t, p, g).Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +360,7 @@ func TestRecommendMarketPrices(t *testing.T) {
 	// Figure 12: with market-ratio prices the 1-GPU P2 wins.
 	p, _ := predictor(t)
 	g := zoo.MustBuild("inception-v3", 32)
-	rec, err := p.Recommend(g, dataset.ImageNet, cloud.MarketRatio, cloud.Configs(4), MinimizeCost)
+	rec, err := compileFor(t, p, g).Recommend(g, dataset.ImageNet, cloud.MarketRatio, cloud.Configs(4), MinimizeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,14 +372,15 @@ func TestRecommendMarketPrices(t *testing.T) {
 func TestRecommendConstraints(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("resnet-101", 32)
+	comp := compileFor(t, p, g)
 	// Impossible budget: no feasible candidate.
-	_, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
+	_, err := comp.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
 		MinimizeTime, MaxTotalBudget(0.01))
 	if err == nil {
 		t.Error("impossible budget should error")
 	}
 	// Hourly budget with slack admits the $3.06 P3 at $3 + 6¢ slack.
-	rec, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
+	rec, err := comp.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
 		MinimizeTime, MaxHourlyBudget(3.0, 0.42))
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +390,7 @@ func TestRecommendConstraints(t *testing.T) {
 			t.Errorf("feasible candidate %s exceeds budget at $%.2f/hr", c.Cfg, c.HourlyUSD)
 		}
 	}
-	if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, nil, MinimizeTime); err == nil {
+	if _, err := comp.Recommend(g, dataset.ImageNet, cloud.OnDemand, nil, MinimizeTime); err == nil {
 		t.Error("empty candidate set should error")
 	}
 }
@@ -402,7 +418,7 @@ func TestUnseenHeavyOpWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := zoo.MustBuild("inception-v3", 32)
-	iter, err := p.PredictIteration(g, gpu.V100, 1, Full)
+	iter, err := compileFor(t, p, g).PredictIteration(g, gpu.V100, 1, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +436,7 @@ func TestUnseenHeavyOpWarning(t *testing.T) {
 func TestPredictTrainingInvalidConfig(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("alexnet", 32)
-	if _, err := p.PredictTraining(g, cloud.Config{GPU: gpu.V100, K: 0}, dataset.ImageNet, cloud.OnDemand); err == nil {
+	if _, err := compileFor(t, p, g).PredictTraining(g, cloud.Config{GPU: gpu.V100, K: 0}, dataset.ImageNet, cloud.OnDemand); err == nil {
 		t.Error("invalid config should error")
 	}
 }
@@ -434,7 +450,7 @@ func TestFitsGPUMemoryConstraint(t *testing.T) {
 	if needGB < 8 || needGB > 16 {
 		t.Fatalf("vgg-19@64 estimate = %.1f GB, expected between 8 and 16", needGB)
 	}
-	rec, err := p.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
+	rec, err := compileFor(t, p, g).Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
 		MinimizeCost, FitsGPUMemory(g))
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +466,7 @@ func TestFitsGPUMemoryConstraint(t *testing.T) {
 	}
 	// At batch 32, everything fits.
 	g32 := zoo.MustBuild("vgg-19", 32)
-	rec32, err := p.Recommend(g32, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
+	rec32, err := compileFor(t, p, g32).Recommend(g32, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
 		MinimizeCost, FitsGPUMemory(g32))
 	if err != nil {
 		t.Fatal(err)

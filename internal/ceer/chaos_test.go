@@ -143,7 +143,8 @@ func TestChaosTransientDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := p.Recommend(zoo.MustBuild("inception-v3", 32), dataset.ImageNet,
+		g := zoo.MustBuild("inception-v3", 32)
+		rec, err := compileFor(t, p, g).Recommend(g, dataset.ImageNet,
 			cloud.OnDemand, cloud.Configs(4), MinimizeCost)
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +205,8 @@ func TestChaosPermanentDeviceDegrades(t *testing.T) {
 	// Recommend routes around the degraded device: the winner is clean,
 	// and every m60 candidate is labeled and infeasible (its comm model
 	// never trained).
-	rec, err := loaded.Recommend(zoo.MustBuild("inception-v3", 32), dataset.ImageNet,
+	g := zoo.MustBuild("inception-v3", 32)
+	rec, err := compileFor(t, loaded, g).Recommend(g, dataset.ImageNet,
 		cloud.OnDemand, cloud.Configs(4), MinimizeCost)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package ceer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -14,35 +13,27 @@ import (
 	"ceer/internal/ops"
 )
 
-// ErrNotCompiled reports a prediction request outside a
-// CompiledPredictor's compiled set — a graph that was not folded or a
-// device registered after Compile. Callers typically fall back to the
-// folded Predictor path (errors.Is).
-var ErrNotCompiled = errors.New("not in the compiled set")
-
 // Class kinds of the compiled per-(device, class) table.
 const (
 	kindHeavy  uint8 = iota // heavy with a trained model: times holds the regression value
-	kindUnseen              // heavy without a model: estimated by the light median, reported
+	kindUnseen              // heavy without a model: times holds the light median, reported
 	kindLight               // light GPU op: the light median
 	kindCPU                 // CPU op: the CPU median
 )
 
-// CompiledPredictor is the serving core compiled from a trained
-// Predictor and a fixed set of graphs: every (device, signature class)
-// time is evaluated once at compile time into immutable flat arrays,
-// so the read path — PredictIteration, Recommend — is a pure
-// gather-and-sum over precomputed tables. No mutex, no map lookups,
-// and no allocations on the warm path; a CompiledPredictor is
-// immutable after Compile and safe for any number of concurrent
-// readers. Hot-swap a rebuilt instance atomically through CompiledBox.
+// CompiledPredictor is the one prediction path of a trained Predictor:
+// every (device, signature class) time over a set of graphs is
+// evaluated once at compile time into immutable flat arrays, so every
+// prediction, recommendation and explanation is a gather-and-sum over
+// precomputed tables. No mutex, no map lookups, and no allocations on
+// the read path; a CompiledPredictor is immutable after Compile and
+// safe for any number of concurrent readers. Hot-swap a rebuilt
+// instance atomically through CompiledBox.
 //
-// Compared to the folded Predictor path (which memoizes per (device,
-// signature) under an RWMutex on first use), the compiled path moves
-// all model evaluation to build time and dedups signatures across the
-// whole graph set: classes shared by several CNNs — the common case in
-// a CNN zoo — occupy one table slot total, not one memo fill per
-// graph.
+// Signatures are deduplicated across the whole graph set: classes
+// shared by several CNNs, the common case in a CNN zoo, occupy one
+// table slot. A graph outside the set is served by ForGraph, which
+// compiles it alone from the same trained predictor.
 //
 // IterPrediction.UnseenHeavy values returned by the compiled path
 // alias immutable compile-time storage; treat them as read-only.
@@ -58,7 +49,8 @@ type CompiledPredictor struct {
 	nd, nc, ng, maxK int
 
 	// kinds and times are the per-(device, class) tables, indexed
-	// di*nc+ci: the class kind and the per-instance predicted seconds.
+	// di*nc+ci: the class kind and the per-instance predicted seconds
+	// (the regression value, or the light or CPU median).
 	kinds []uint8
 	times []float64
 
@@ -126,6 +118,7 @@ func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 					c.kinds[base+ci] = kindHeavy
 				} else {
 					c.kinds[base+ci] = kindUnseen
+					c.times[base+ci] = p.LightMedian
 				}
 			case ops.LightGPU:
 				c.kinds[base+ci] = kindLight
@@ -241,6 +234,23 @@ func (c *CompiledPredictor) deviceIndex(m gpu.ID) int {
 	return -1
 }
 
+// opSums is the k-independent op-sum of Eq. (2)'s parenthesized term
+// for one (graph, device): everything except the communication
+// overhead, in count-weighted form so any ablation variant can be
+// assembled from it without re-walking the graph.
+type opSums struct {
+	// modeledHeavy is Σ count × prediction over heavy classes with a
+	// trained model.
+	modeledHeavy float64
+	// unseenHeavy, light, cpu count instances estimated by medians.
+	unseenHeavy int
+	light       int
+	cpu         int
+	// unseenTypes lists the heavy types lacking a model, sorted. The
+	// slice is shared compile-time storage; callers must not modify it.
+	unseenTypes []ops.Type
+}
+
 // classSums gathers graph gi's op-sum on device di from the compiled
 // tables: Σ count × table time over the graph's class pairs, with
 // median-estimated instances counted for later assembly. This is the
@@ -267,7 +277,9 @@ func (c *CompiledPredictor) classSums(gi, di int) opSums {
 }
 
 // assemble builds an IterPrediction from gathered sums plus the
-// precomputed communication term, mirroring Predictor.assembleIter.
+// precomputed communication term: the light and CPU medians enter
+// only in the Full and NoComm variants, the comm term only in Full and
+// HeavyOnly.
 //
 //hot:path
 func (c *CompiledPredictor) assemble(gi, di, k int, v Variant, s opSums) (IterPrediction, error) {
@@ -293,57 +305,67 @@ func (c *CompiledPredictor) assemble(gi, di, k int, v Variant, s opSums) (IterPr
 }
 
 // PredictIteration predicts the per-iteration training time of a
-// compiled graph on k GPUs of a compiled device — the compiled
-// equivalent of Predictor.PredictIteration: a gather-and-sum over the
-// flat class table plus one precomputed communication lookup. It
-// returns ErrNotCompiled (wrapped) for graphs or devices outside the
-// compiled set.
+// compiled graph on k GPUs of a compiled device, per Eq. (2)'s
+// parenthesized term: a gather-and-sum over the flat class table plus
+// one precomputed communication lookup. Graphs and devices outside
+// the compiled set are errors; see ForGraph.
 //
 //hot:path
 func (c *CompiledPredictor) PredictIteration(g *graph.Graph, m gpu.ID, k int, v Variant) (IterPrediction, error) {
 	gi := c.fold.GraphIndex(g)
 	if gi < 0 {
 		//lint:ignore allocfree error construction on the failure exit only; the success path never reaches it
-		return IterPrediction{}, fmt.Errorf("ceer: graph %q: %w", g.Name, ErrNotCompiled)
+		return IterPrediction{}, fmt.Errorf("ceer: graph %q is not in the compiled set", g.Name)
 	}
 	di := c.deviceIndex(m)
 	if di < 0 {
 		//lint:ignore allocfree error construction on the failure exit only; the success path never reaches it
-		return IterPrediction{}, fmt.Errorf("ceer: device %s: %w", m, ErrNotCompiled)
+		return IterPrediction{}, fmt.Errorf("ceer: device %s is not in the compiled set", m)
 	}
 	return c.assemble(gi, di, k, v, c.classSums(gi, di))
 }
 
-// PredictTraining predicts end-to-end training time and cost through
-// the compiled tables; see Predictor.PredictTraining.
+// PredictTraining predicts the end-to-end training time and cost of one
+// epoch of the dataset on the configuration, per Eq. (2).
 func (c *CompiledPredictor) PredictTraining(g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, pricing cloud.Pricing) (Prediction, error) {
+	return c.PredictTrainingVariant(g, cfg, ds, pricing, Full)
+}
+
+// PredictTrainingVariant is PredictTraining with an ablation variant.
+func (c *CompiledPredictor) PredictTrainingVariant(g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, pricing cloud.Pricing, v Variant) (Prediction, error) {
 	if !cfg.Valid() {
 		return Prediction{}, fmt.Errorf("ceer: invalid config %s", cfg)
 	}
-	iter, err := c.PredictIteration(g, cfg.GPU, cfg.K, Full)
+	iter, err := c.PredictIteration(g, cfg.GPU, cfg.K, v)
 	if err != nil {
 		return Prediction{}, err
 	}
 	return c.p.finishPrediction(g, cfg, ds, pricing, iter)
 }
 
-// Recommend is the compiled equivalent of Predictor.Recommend: a table
-// scan over the candidates with the per-device op-sum gathered once
-// per device run. Semantics (degraded preference, constraint handling,
-// candidate order) match Predictor.Recommend exactly.
+// Recommend evaluates every candidate configuration for training the
+// CNN over the dataset and returns the feasible one minimizing the
+// objective — the runtime loop of Section IV-D. It returns an error if
+// no candidate is feasible, together with every evaluated candidate so
+// callers can show why nothing fit.
+//
+// Candidates on devices with degraded (partial-coverage) training data
+// are labeled and only win when no cleanly-covered feasible candidate
+// exists. A degraded device missing its communication model entirely
+// is predicted without the comm term and marked infeasible rather than
+// failing the sweep.
 func (c *CompiledPredictor) Recommend(g *graph.Graph, ds dataset.Dataset, pricing cloud.Pricing,
 	candidates []cloud.Config, obj Objective, constraints ...Constraint) (Recommendation, error) {
 	var rec Recommendation
-	if err := c.RecommendInto(&rec, g, ds, pricing, candidates, obj, constraints...); err != nil {
-		return Recommendation{}, err
-	}
-	return rec, nil
+	err := c.RecommendInto(&rec, g, ds, pricing, candidates, obj, constraints...)
+	return rec, err
 }
 
 // RecommendInto is Recommend writing into a caller-owned
 // Recommendation, reusing rec.Candidates' capacity so a steady-state
 // serving loop recommends with zero allocations. rec is fully
-// overwritten.
+// overwritten. The op-sum is gathered once per device run (only the
+// communication term of Eq. (2) depends on k).
 func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, ds dataset.Dataset,
 	pricing cloud.Pricing, candidates []cloud.Config, obj Objective, constraints ...Constraint) error {
 	if len(candidates) == 0 {
@@ -351,7 +373,7 @@ func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, d
 	}
 	gi := c.fold.GraphIndex(g)
 	if gi < 0 {
-		return fmt.Errorf("ceer: graph %q: %w", g.Name, ErrNotCompiled)
+		return fmt.Errorf("ceer: graph %q is not in the compiled set", g.Name)
 	}
 	rec.Best = Candidate{}
 	rec.Candidates = rec.Candidates[:0]
@@ -369,7 +391,7 @@ func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, d
 		}
 		di := c.deviceIndex(cfg.GPU)
 		if di < 0 {
-			return fmt.Errorf("ceer: device %s: %w", cfg.GPU, ErrNotCompiled)
+			return fmt.Errorf("ceer: device %s is not in the compiled set", cfg.GPU)
 		}
 		if di != lastDI {
 			sums = c.classSums(gi, di)
@@ -385,7 +407,7 @@ func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, d
 			}
 			// A degraded device may lack its comm model for this k:
 			// predict without the comm term and disqualify the candidate
-			// instead of aborting the sweep (mirrors Predictor.Recommend).
+			// instead of aborting the sweep.
 			commMissing = true
 			iter, err = c.assemble(gi, di, cfg.K, NoComm, sums)
 			if err != nil {
@@ -428,6 +450,19 @@ func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, d
 		return fmt.Errorf("ceer: no feasible configuration among %d candidates", len(candidates))
 	}
 	return nil
+}
+
+// ForGraph returns a compiled predictor that covers g: the receiver
+// when g is in its compiled set, otherwise g compiled alone from the
+// same trained predictor, so the answer comes from the same model
+// generation. A one-graph compile costs tens to hundreds of
+// microseconds, so call ForGraph once per request or loop, never per
+// candidate.
+func (c *CompiledPredictor) ForGraph(g *graph.Graph) (*CompiledPredictor, error) {
+	if c.fold.GraphIndex(g) >= 0 {
+		return c, nil
+	}
+	return Compile(c.p, []*graph.Graph{g})
 }
 
 // Predictor returns the trained predictor the tables were compiled

@@ -2,6 +2,7 @@ package ceer
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -39,11 +40,11 @@ func compiled(t *testing.T) (*CompiledPredictor, []*graph.Graph) {
 	return compiledCore, compiledGraphs
 }
 
-// TestCompiledMatchesFoldedAndNaive is the tentpole correctness pin:
-// the compiled gather-and-sum must reproduce both the folded and the
-// naive per-node paths on every zoo CNN × every registered device ×
-// k ∈ {1,2,4,8}, within 1e-9 relative.
-func TestCompiledMatchesFoldedAndNaive(t *testing.T) {
+// TestCompiledMatchesNaive is the correctness pin of the one
+// prediction path: the zoo-wide compiled gather-and-sum must reproduce
+// the naive per-node oracle on every zoo CNN × every registered device
+// × k ∈ {1,2,4,8}, within 1e-9 relative.
+func TestCompiledMatchesNaive(t *testing.T) {
 	c, graphs := compiled(t)
 	p := c.Predictor()
 	for _, g := range graphs {
@@ -53,19 +54,14 @@ func TestCompiledMatchesFoldedAndNaive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/k=%d compiled: %v", g.Name, m, k, err)
 				}
-				folded, err := p.PredictIteration(g, m, k, Full)
-				if err != nil {
-					t.Fatalf("%s/%s/k=%d folded: %v", g.Name, m, k, err)
-				}
 				naive, err := p.PredictIterationUnfolded(g, m, k, Full)
 				if err != nil {
 					t.Fatalf("%s/%s/k=%d naive: %v", g.Name, m, k, err)
 				}
-				checkIterEqual(t, g.Name+"/"+string(m)+"/compiled-vs-folded", got, folded)
 				checkIterEqual(t, g.Name+"/"+string(m)+"/compiled-vs-naive", got, naive)
 			}
 			// k=8 exceeds the trained comm range: NoComm still compares,
-			// Full must fail on the compiled path like on the others.
+			// Full must fail on the compiled path like on the oracle.
 			got, err := c.PredictIteration(g, m, 8, NoComm)
 			if err != nil {
 				t.Fatalf("%s/%s/k=8 compiled no-comm: %v", g.Name, m, err)
@@ -84,9 +80,9 @@ func TestCompiledMatchesFoldedAndNaive(t *testing.T) {
 	}
 }
 
-// TestCompiledVariantsMatchFolded covers the ablation assembly through
-// the compiled tables.
-func TestCompiledVariantsMatchFolded(t *testing.T) {
+// TestCompiledVariantsMatchNaive covers the ablation assembly through
+// the zoo-wide compiled tables.
+func TestCompiledVariantsMatchNaive(t *testing.T) {
 	c, graphs := compiled(t)
 	p := c.Predictor()
 	for _, g := range graphs[:2] {
@@ -95,19 +91,19 @@ func TestCompiledVariantsMatchFolded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			folded, err := p.PredictIteration(g, gpu.V100, 2, v)
+			naive, err := p.PredictIterationUnfolded(g, gpu.V100, 2, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkIterEqual(t, g.Name+"/"+v.String(), got, folded)
+			checkIterEqual(t, g.Name+"/"+v.String(), got, naive)
 		}
 	}
 }
 
-// TestCompiledRecommendMatchesPredictor requires identical
-// recommendations from the compiled table scan and the folded
-// recommender: same winner, same feasibility, same candidate order,
-// predictions within tolerance.
+// TestCompiledRecommendMatchesPredictor requires the zoo-wide compiled
+// table scan to recommend exactly what a per-candidate sweep over the
+// trained Predictor's naive oracle recommends: same winner, same
+// feasibility, same candidate order, predictions within tolerance.
 func TestCompiledRecommendMatchesPredictor(t *testing.T) {
 	c, graphs := compiled(t)
 	p := c.Predictor()
@@ -119,40 +115,18 @@ func TestCompiledRecommendMatchesPredictor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := p.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cands, obj, cons...)
+			want, err := naiveRecommend(p, g, dataset.ImageNetSubset6400, cloud.OnDemand, cands, obj, cons...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Best.Cfg != want.Best.Cfg {
-				t.Errorf("%s: compiled picks %s, folded picks %s", g.Name, got.Best.Cfg, want.Best.Cfg)
-			}
-			if got.Best.Degraded != want.Best.Degraded {
-				t.Errorf("%s: degraded label differs: %q vs %q", g.Name, got.Best.Degraded, want.Best.Degraded)
-			}
-			if len(got.Candidates) != len(want.Candidates) {
-				t.Fatalf("%s: candidate counts differ: %d vs %d", g.Name, len(got.Candidates), len(want.Candidates))
-			}
-			for i := range got.Candidates {
-				gc, wc := got.Candidates[i], want.Candidates[i]
-				if gc.Cfg != wc.Cfg || gc.Feasible != wc.Feasible || gc.Degraded != wc.Degraded {
-					t.Errorf("%s: candidate %d differs: %s/%v/%q vs %s/%v/%q",
-						g.Name, i, gc.Cfg, gc.Feasible, gc.Degraded, wc.Cfg, wc.Feasible, wc.Degraded)
-				}
-				if d := relDiff(gc.TotalSeconds, wc.TotalSeconds); d > equivTol {
-					t.Errorf("%s %s: TotalSeconds %v vs %v (rel diff %.2e)",
-						g.Name, gc.Cfg, gc.TotalSeconds, wc.TotalSeconds, d)
-				}
-				if d := relDiff(gc.CostUSD, wc.CostUSD); d > equivTol {
-					t.Errorf("%s %s: CostUSD %v vs %v (rel diff %.2e)",
-						g.Name, gc.Cfg, gc.CostUSD, wc.CostUSD, d)
-				}
-			}
+			checkRecommendEqual(t, g.Name, got, want)
 		}
 	}
 }
 
 // TestCompiledPredictTrainingMatches spot-checks the end-to-end
-// prediction (iterations, time, cost) through the compiled path.
+// prediction (iterations, time, cost) through the compiled path
+// against the oracle extended to an epoch.
 func TestCompiledPredictTrainingMatches(t *testing.T) {
 	c, graphs := compiled(t)
 	p := c.Predictor()
@@ -162,7 +136,11 @@ func TestCompiledPredictTrainingMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.PredictTraining(g, cfg, dataset.ImageNet, cloud.OnDemand)
+		iter, err := p.PredictIterationUnfolded(g, cfg.GPU, cfg.K, Full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.finishPrediction(g, cfg, dataset.ImageNet, cloud.OnDemand, iter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,29 +156,53 @@ func TestCompiledPredictTrainingMatches(t *testing.T) {
 	}
 }
 
-// TestCompiledNotCompiled pins the escape hatch: graphs and devices
-// outside the compiled set return ErrNotCompiled (errors.Is), so
-// callers can fall back to the folded path.
+// TestCompiledNotCompiled pins the compiled set's boundary: graphs and
+// devices outside it are errors, never silent zeros, and ForGraph
+// covers an outside graph by compiling it alone (returning the
+// receiver for a graph already in the set).
 func TestCompiledNotCompiled(t *testing.T) {
 	c, graphs := compiled(t)
 	rebuilt := zoo.MustBuild(graphs[0].Name, 32) // same shape, different pointer
-	if _, err := c.PredictIteration(rebuilt, gpu.V100, 1, Full); !errors.Is(err, ErrNotCompiled) {
-		t.Errorf("rebuilt graph: err = %v, want ErrNotCompiled", err)
+	if _, err := c.PredictIteration(rebuilt, gpu.V100, 1, Full); err == nil || !strings.Contains(err.Error(), "not in the compiled set") {
+		t.Errorf("rebuilt graph: err = %v, want a not-in-the-compiled-set error", err)
 	}
-	if _, err := c.PredictIteration(graphs[0], gpu.ID("no-such-device"), 1, Full); !errors.Is(err, ErrNotCompiled) {
-		t.Errorf("unknown device: err = %v, want ErrNotCompiled", err)
+	if _, err := c.PredictIteration(graphs[0], gpu.ID("no-such-device"), 1, Full); err == nil || !strings.Contains(err.Error(), "not in the compiled set") {
+		t.Errorf("unknown device: err = %v, want a not-in-the-compiled-set error", err)
 	}
 	var rec Recommendation
-	err := c.RecommendInto(&rec, rebuilt, dataset.ImageNet, cloud.OnDemand,
-		cloud.Configs(4), MinimizeCost)
-	if !errors.Is(err, ErrNotCompiled) {
-		t.Errorf("RecommendInto on rebuilt graph: err = %v, want ErrNotCompiled", err)
+	if err := c.RecommendInto(&rec, rebuilt, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost); err == nil {
+		t.Error("RecommendInto on a rebuilt graph should error")
+	}
+	if _, err := c.ExplainNodes(rebuilt, gpu.V100); err == nil {
+		t.Error("ExplainNodes on a rebuilt graph should error")
+	}
+
+	if same, err := c.ForGraph(graphs[0]); err != nil || same != c {
+		t.Errorf("ForGraph of a compiled graph = (%p, %v), want the receiver %p", same, err, c)
+	}
+	alone, err := c.ForGraph(rebuilt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone == c || alone.Predictor() != c.Predictor() || alone.Stats().Graphs != 1 {
+		t.Errorf("ForGraph of an outside graph should compile it alone from the same predictor; stats %+v", alone.Stats())
+	}
+	got, err := alone.PredictIteration(rebuilt, gpu.V100, 1, Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.PredictIteration(graphs[0], gpu.V100, 1, Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("one-graph compile %+v differs from the zoo tables %+v", got, want)
 	}
 }
 
 // TestCompiledAllocFree pins the compiled hot path at zero allocations:
-// PredictIteration always (no warm-up needed — there is no memo to
-// fill), and RecommendInto once its Candidates buffer has capacity.
+// PredictIteration always (no warm-up needed), and RecommendInto once
+// its Candidates buffer has capacity.
 func TestCompiledAllocFree(t *testing.T) {
 	c, graphs := compiled(t)
 	g := graphs[0]

@@ -1,6 +1,7 @@
 package ceer
 
 import (
+	"fmt"
 	"sort"
 
 	"ceer/internal/gpu"
@@ -36,12 +37,12 @@ type Explanation struct {
 
 // ExplainIteration predicts one training iteration and attributes the
 // prediction to operation types — the "why is this CNN slow here"
-// companion to PredictIteration (used by `ceer predict -explain`). The
-// attribution walks the graph's signature fold, so it shares the
-// serving path's per-(device, signature) memo; use ExplainNodes for a
-// per-node breakdown.
-func (p *Predictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*Explanation, error) {
-	iter, err := p.PredictIteration(g, m, k, Full)
+// companion to PredictIteration (used by `ceer predict -explain` and
+// /v1/explain). Each class is attributed its count times the table's
+// per-(device, class) time, so the attribution reads the same table as
+// the prediction; use ExplainNodes for a per-node breakdown.
+func (c *CompiledPredictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*Explanation, error) {
+	iter, err := c.PredictIteration(g, m, k, Full)
 	if err != nil {
 		return nil, err
 	}
@@ -50,42 +51,31 @@ func (p *Predictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*Explanat
 		seconds float64
 	}
 	byType := make(map[ops.Type]*acc)
-	entries := g.Fold().Entries()
-	for i := range entries {
-		e := &entries[i]
-		t := e.Rep.Op.Type
+	classes := c.fold.Classes()
+	base := c.deviceIndex(m) * c.nc
+	for _, pc := range c.fold.PerGraph(c.fold.GraphIndex(g)) {
+		t := classes[pc.Class].Rep.Op.Type
 		a := byType[t]
 		if a == nil {
 			a = &acc{}
 			byType[t] = a
 		}
-		a.count += e.Count
-		switch p.Class.Of(t) {
-		case ops.HeavyGPU:
-			if om, ok := p.opModels[m][t]; ok {
-				a.seconds += float64(e.Count) * p.memoizedHeavy(m, om, e)
-			} else {
-				a.seconds += float64(e.Count) * p.LightMedian
-			}
-		case ops.LightGPU:
-			a.seconds += float64(e.Count) * p.LightMedian
-		case ops.CPU:
-			a.seconds += float64(e.Count) * p.CPUMedian
-		}
+		a.count += pc.Count
+		a.seconds += float64(pc.Count) * c.times[base+pc.Class]
 	}
 	ex := &Explanation{Iter: iter}
 	total := iter.PerIterSeconds
 	for t, a := range byType {
-		c := TypeContribution{
+		tc := TypeContribution{
 			OpType:  t,
-			Class:   p.Class.Of(t),
+			Class:   c.p.Class.Of(t),
 			Count:   a.count,
 			Seconds: a.seconds,
 		}
 		if total > 0 {
-			c.Share = a.seconds / total
+			tc.Share = a.seconds / total
 		}
-		ex.Contributions = append(ex.Contributions, c)
+		ex.Contributions = append(ex.Contributions, tc)
 	}
 	sort.Slice(ex.Contributions, func(i, j int) bool {
 		if ex.Contributions[i].Seconds > ex.Contributions[j].Seconds {
@@ -120,36 +110,32 @@ type NodeContribution struct {
 // predicted time (descending), ties by ID. The communication term has
 // no node to attach to; read it from ExplainIteration.
 //
-// Attribution reuses the graph's cached signature fold: each unique
-// class is costed once (through the shared per-(device, signature)
-// memo) and fanned out to its member nodes, so repeated invocations —
-// the CLI re-explaining after every campaign — do no per-node model
-// evaluations instead of one per DAG node.
-func (p *Predictor) ExplainNodes(g *graph.Graph, m gpu.ID) []NodeContribution {
+// Each entry of the graph's own fold finds its global class by
+// signature (the class table is signature-sorted), and the table's
+// per-(device, class) time fans out to the entry's member nodes, so
+// attribution does no model evaluations.
+func (c *CompiledPredictor) ExplainNodes(g *graph.Graph, m gpu.ID) ([]NodeContribution, error) {
+	if c.fold.GraphIndex(g) < 0 {
+		return nil, fmt.Errorf("ceer: graph %q is not in the compiled set", g.Name)
+	}
+	di := c.deviceIndex(m)
+	if di < 0 {
+		return nil, fmt.Errorf("ceer: device %s is not in the compiled set", m)
+	}
+	classes := c.fold.Classes()
 	fold := g.Fold()
 	entries := fold.Entries()
 	secs := make([]float64, len(entries))
 	for i := range entries {
-		e := &entries[i]
-		t := e.Rep.Op.Type
-		switch p.Class.Of(t) {
-		case ops.HeavyGPU:
-			if om, ok := p.opModels[m][t]; ok {
-				secs[i] = p.memoizedHeavy(m, om, e)
-			} else {
-				secs[i] = p.LightMedian
-			}
-		case ops.LightGPU:
-			secs[i] = p.LightMedian
-		case ops.CPU:
-			secs[i] = p.CPUMedian
-		}
+		sig := entries[i].Sig
+		ci := sort.Search(len(classes), func(j int) bool { return classes[j].Sig >= sig })
+		secs[i] = c.times[di*c.nc+ci]
 	}
 	out := make([]NodeContribution, 0, g.Len())
 	for ni, n := range g.Nodes() {
 		t := n.Op.Type
 		out = append(out, NodeContribution{
-			ID: n.ID, Name: n.Name, OpType: t, Class: p.Class.Of(t), Phase: n.Phase,
+			ID: n.ID, Name: n.Name, OpType: t, Class: c.p.Class.Of(t), Phase: n.Phase,
 			Seconds: secs[fold.ClassOf(ni)],
 		})
 	}
@@ -162,5 +148,5 @@ func (p *Predictor) ExplainNodes(g *graph.Graph, m gpu.ID) []NodeContribution {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out
+	return out, nil
 }

@@ -12,7 +12,7 @@ import (
 func TestExplainIteration(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("vgg-19", 32)
-	ex, err := p.ExplainIteration(g, gpu.V100, 1)
+	ex, err := compileFor(t, p, g).ExplainIteration(g, gpu.V100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,46 @@ func TestExplainIteration(t *testing.T) {
 func TestExplainIterationPropagatesErrors(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("alexnet", 32)
-	if _, err := p.ExplainIteration(g, gpu.V100, 7); err == nil {
+	if _, err := compileFor(t, p, g).ExplainIteration(g, gpu.V100, 7); err == nil {
 		t.Error("untrained k should error")
+	}
+}
+
+// TestExplainNodesMatchesIteration: on every zoo CNN and device, the
+// per-node attribution must add up to the compute part of the
+// prediction and to the per-type attribution, type by type.
+func TestExplainNodesMatchesIteration(t *testing.T) {
+	c, graphs := compiled(t)
+	for _, g := range graphs {
+		for _, m := range gpu.All() {
+			ex, err := c.ExplainIteration(g, m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, err := c.ExplainNodes(g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nodes) != g.Len() {
+				t.Fatalf("%s/%s: %d node rows for %d nodes", g.Name, m, len(nodes), g.Len())
+			}
+			byType := make(map[ops.Type]float64)
+			compute := 0.0
+			for i, n := range nodes {
+				if i > 0 && n.Seconds > nodes[i-1].Seconds {
+					t.Fatalf("%s/%s: node rows not sorted by predicted time", g.Name, m)
+				}
+				byType[n.OpType] += n.Seconds
+				compute += n.Seconds
+			}
+			if want := ex.Iter.PerIterSeconds - ex.Iter.CommSeconds; relDiff(compute, want) > equivTol {
+				t.Errorf("%s/%s: nodes sum to %v, compute prediction is %v", g.Name, m, compute, want)
+			}
+			for _, tc := range ex.Contributions {
+				if d := relDiff(byType[tc.OpType], tc.Seconds); d > equivTol {
+					t.Errorf("%s/%s %s: nodes sum to %v, type attribution is %v", g.Name, m, tc.OpType, byType[tc.OpType], tc.Seconds)
+				}
+			}
+		}
 	}
 }

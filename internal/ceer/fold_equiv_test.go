@@ -2,8 +2,8 @@ package ceer
 
 import (
 	"context"
-
 	"math"
+	"reflect"
 	"testing"
 
 	"ceer/internal/cloud"
@@ -13,8 +13,8 @@ import (
 	"ceer/internal/zoo"
 )
 
-// equivTol is the folded-vs-naive tolerance: count × prediction differs
-// from count repeated additions only at ulp level.
+// equivTol is the compiled-vs-naive tolerance: count × prediction
+// differs from count repeated additions only at ulp level.
 const equivTol = 1e-9
 
 func relDiff(a, b float64) float64 {
@@ -29,83 +29,100 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / m
 }
 
-func checkIterEqual(t *testing.T, ctx string, folded, naive IterPrediction) {
+func checkIterEqual(t *testing.T, ctx string, got, naive IterPrediction) {
 	t.Helper()
 	fields := []struct {
 		name string
 		f, n float64
 	}{
-		{"HeavySeconds", folded.HeavySeconds, naive.HeavySeconds},
-		{"LightSeconds", folded.LightSeconds, naive.LightSeconds},
-		{"CPUSeconds", folded.CPUSeconds, naive.CPUSeconds},
-		{"CommSeconds", folded.CommSeconds, naive.CommSeconds},
-		{"PerIterSeconds", folded.PerIterSeconds, naive.PerIterSeconds},
+		{"HeavySeconds", got.HeavySeconds, naive.HeavySeconds},
+		{"LightSeconds", got.LightSeconds, naive.LightSeconds},
+		{"CPUSeconds", got.CPUSeconds, naive.CPUSeconds},
+		{"CommSeconds", got.CommSeconds, naive.CommSeconds},
+		{"PerIterSeconds", got.PerIterSeconds, naive.PerIterSeconds},
 	}
 	for _, f := range fields {
 		if d := relDiff(f.f, f.n); d > equivTol {
-			t.Errorf("%s: %s folded %v vs naive %v (rel diff %.2e)", ctx, f.name, f.f, f.n, d)
+			t.Errorf("%s: %s compiled %v vs naive %v (rel diff %.2e)", ctx, f.name, f.f, f.n, d)
 		}
 	}
-	if len(folded.UnseenHeavy) != len(naive.UnseenHeavy) {
-		t.Errorf("%s: unseen-heavy lists differ: %v vs %v", ctx, folded.UnseenHeavy, naive.UnseenHeavy)
+	if len(got.UnseenHeavy) != len(naive.UnseenHeavy) {
+		t.Errorf("%s: unseen-heavy lists differ: %v vs %v", ctx, got.UnseenHeavy, naive.UnseenHeavy)
 		return
 	}
-	for i := range folded.UnseenHeavy {
-		if folded.UnseenHeavy[i] != naive.UnseenHeavy[i] {
-			t.Errorf("%s: unseen-heavy lists differ: %v vs %v", ctx, folded.UnseenHeavy, naive.UnseenHeavy)
+	for i := range got.UnseenHeavy {
+		if got.UnseenHeavy[i] != naive.UnseenHeavy[i] {
+			t.Errorf("%s: unseen-heavy lists differ: %v vs %v", ctx, got.UnseenHeavy, naive.UnseenHeavy)
 			return
 		}
 	}
 }
 
-// TestFoldedMatchesUnfolded is the tentpole correctness pin: the folded
-// serving path must reproduce the naive per-node walk on every zoo CNN
-// × every registered device × every trained k, within float tolerance.
+// TestFoldedMatchesUnfolded pins the one-graph compile (the ForGraph
+// path, taken by graphs outside a compiled set) against the unfolded
+// per-node oracle on every zoo CNN × every registered device × every
+// trained k, within float tolerance — and against the zoo-wide tables
+// bit for bit: a graph's answer must not depend on which other graphs
+// were compiled beside it.
 func TestFoldedMatchesUnfolded(t *testing.T) {
-	p, _ := predictor(t)
-	for _, name := range zoo.Names() {
-		g := zoo.MustBuild(name, 32)
+	zooTables, graphs := compiled(t)
+	p := zooTables.Predictor()
+	for _, g := range graphs {
+		rebuilt := zoo.MustBuild(g.Name, 32) // outside the zoo tables' set
+		alone, err := zooTables.ForGraph(rebuilt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range gpu.All() {
 			for _, k := range []int{1, 2, 4} {
-				folded, err := p.PredictIteration(g, m, k, Full)
+				got, err := alone.PredictIteration(rebuilt, m, k, Full)
 				if err != nil {
-					t.Fatalf("%s/%s/k=%d folded: %v", name, m, k, err)
+					t.Fatalf("%s/%s/k=%d one-graph: %v", g.Name, m, k, err)
 				}
 				naive, err := p.PredictIterationUnfolded(g, m, k, Full)
 				if err != nil {
-					t.Fatalf("%s/%s/k=%d naive: %v", name, m, k, err)
+					t.Fatalf("%s/%s/k=%d naive: %v", g.Name, m, k, err)
 				}
-				checkIterEqual(t, name+"/"+string(m), folded, naive)
+				checkIterEqual(t, g.Name+"/"+string(m), got, naive)
+				zooIter, err := zooTables.PredictIteration(g, m, k, Full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, zooIter) {
+					t.Errorf("%s/%s/k=%d: one-graph %+v differs from zoo tables %+v", g.Name, m, k, got, zooIter)
+				}
 			}
 			// k=8 exceeds the trained comm range (Pipeline.MaxK = 4): the
 			// op-sum is k-independent, so NoComm still compares, and the
-			// Full variant must fail identically on both paths.
-			folded, err := p.PredictIteration(g, m, 8, NoComm)
+			// Full variant must fail on both paths.
+			got, err := alone.PredictIteration(rebuilt, m, 8, NoComm)
 			if err != nil {
-				t.Fatalf("%s/%s/k=8 folded no-comm: %v", name, m, err)
+				t.Fatalf("%s/%s/k=8 one-graph no-comm: %v", g.Name, m, err)
 			}
 			naive, err := p.PredictIterationUnfolded(g, m, 8, NoComm)
 			if err != nil {
-				t.Fatalf("%s/%s/k=8 naive no-comm: %v", name, m, err)
+				t.Fatalf("%s/%s/k=8 naive no-comm: %v", g.Name, m, err)
 			}
-			checkIterEqual(t, name+"/"+string(m)+"/k=8", folded, naive)
-			if _, err := p.PredictIteration(g, m, 8, Full); err == nil {
-				t.Errorf("%s/%s: folded Full at untrained k=8 should error", name, m)
+			checkIterEqual(t, g.Name+"/"+string(m)+"/k=8", got, naive)
+			if _, err := alone.PredictIteration(rebuilt, m, 8, Full); err == nil {
+				t.Errorf("%s/%s: one-graph Full at untrained k=8 should error", g.Name, m)
 			}
 			if _, err := p.PredictIterationUnfolded(g, m, 8, Full); err == nil {
-				t.Errorf("%s/%s: naive Full at untrained k=8 should error", name, m)
+				t.Errorf("%s/%s: naive Full at untrained k=8 should error", g.Name, m)
 			}
 		}
 	}
 }
 
-// TestFoldedMatchesUnfoldedVariants covers the ablation assembly.
+// TestFoldedMatchesUnfoldedVariants covers the ablation assembly of a
+// one-graph compile.
 func TestFoldedMatchesUnfoldedVariants(t *testing.T) {
 	p, _ := predictor(t)
 	for _, name := range []string{"alexnet", "inception-resnet-v2"} {
 		g := zoo.MustBuild(name, 32)
+		c := compileFor(t, p, g)
 		for _, v := range []Variant{Full, NoComm, HeavyOnly, HeavyOnlyNoComm} {
-			folded, err := p.PredictIteration(g, gpu.V100, 2, v)
+			got, err := c.PredictIteration(g, gpu.V100, 2, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,14 +130,14 @@ func TestFoldedMatchesUnfoldedVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkIterEqual(t, name+"/"+v.String(), folded, naive)
+			checkIterEqual(t, name+"/"+v.String(), got, naive)
 		}
 	}
 }
 
 // TestFoldedMatchesUnfoldedUnseen pins the degraded-prediction path: a
-// predictor trained without the inception family must fold identically,
-// unseen-heavy warnings included.
+// predictor trained without the inception family must compile to
+// tables that match the oracle, unseen-heavy warnings included.
 func TestFoldedMatchesUnfoldedUnseen(t *testing.T) {
 	pl := DefaultPipeline(13)
 	pl.ProfileIterations = 20
@@ -130,7 +147,7 @@ func TestFoldedMatchesUnfoldedUnseen(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := zoo.MustBuild("inception-v4", 32)
-	folded, err := p.PredictIteration(g, gpu.T4, 1, Full)
+	got, err := compileFor(t, p, g).PredictIteration(g, gpu.T4, 1, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +155,14 @@ func TestFoldedMatchesUnfoldedUnseen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIterEqual(t, "inception-v4/unseen", folded, naive)
-	if len(folded.UnseenHeavy) == 0 {
+	checkIterEqual(t, "inception-v4/unseen", got, naive)
+	if len(got.UnseenHeavy) == 0 {
 		t.Error("expected unseen heavy types for an inception net on a vgg/resnet-trained predictor")
 	}
 }
 
 // naiveRecommend mirrors Recommend candidate for candidate but predicts
-// through the unfolded path — the reference for the sweep-hoist test.
+// through the unfolded oracle (clean devices only).
 func naiveRecommend(p *Predictor, g *graph.Graph, ds dataset.Dataset, pricing cloud.Pricing,
 	candidates []cloud.Config, obj Objective, constraints ...Constraint) (Recommendation, error) {
 	rec := Recommendation{}
@@ -178,16 +195,47 @@ func naiveRecommend(p *Predictor, g *graph.Graph, ds dataset.Dataset, pricing cl
 	return rec, nil
 }
 
-// TestRecommendMatchesNaiveSweep verifies the hoisted device×k sweep
-// against a per-candidate unfolded sweep: identical winner, identical
+// checkRecommendEqual requires the same winner, the same candidate
+// order, feasibility and degraded labels, and predictions within
+// tolerance.
+func checkRecommendEqual(t *testing.T, ctx string, got, want Recommendation) {
+	t.Helper()
+	if got.Best.Cfg != want.Best.Cfg {
+		t.Errorf("%s: compiled picks %s, naive picks %s", ctx, got.Best.Cfg, want.Best.Cfg)
+	}
+	if got.Best.Degraded != want.Best.Degraded {
+		t.Errorf("%s: degraded label differs: %q vs %q", ctx, got.Best.Degraded, want.Best.Degraded)
+	}
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: candidate counts differ: %d vs %d", ctx, len(got.Candidates), len(want.Candidates))
+	}
+	for i := range got.Candidates {
+		gc, wc := got.Candidates[i], want.Candidates[i]
+		if gc.Cfg != wc.Cfg || gc.Feasible != wc.Feasible || gc.Degraded != wc.Degraded {
+			t.Errorf("%s: candidate %d differs: %s/%v/%q vs %s/%v/%q",
+				ctx, i, gc.Cfg, gc.Feasible, gc.Degraded, wc.Cfg, wc.Feasible, wc.Degraded)
+		}
+		if d := relDiff(gc.TotalSeconds, wc.TotalSeconds); d > equivTol {
+			t.Errorf("%s %s: TotalSeconds %v vs %v (rel diff %.2e)", ctx, gc.Cfg, gc.TotalSeconds, wc.TotalSeconds, d)
+		}
+		if d := relDiff(gc.CostUSD, wc.CostUSD); d > equivTol {
+			t.Errorf("%s %s: CostUSD %v vs %v (rel diff %.2e)", ctx, gc.Cfg, gc.CostUSD, wc.CostUSD, d)
+		}
+	}
+}
+
+// TestRecommendMatchesNaiveSweep verifies the compiled device×k sweep
+// of a one-graph compile (op-sum gathered once per device) against a
+// per-candidate unfolded sweep: identical winner, identical
 // feasibility, and per-candidate predictions within tolerance.
 func TestRecommendMatchesNaiveSweep(t *testing.T) {
 	p, _ := predictor(t)
 	for _, name := range zoo.TestSet() {
 		g := zoo.MustBuild(name, 32)
+		c := compileFor(t, p, g)
 		for _, obj := range []Objective{MinimizeCost, MinimizeTime} {
 			cons := []Constraint{MaxHourlyBudget(20, 0), FitsGPUMemory(g)}
-			got, err := p.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4), obj, cons...)
+			got, err := c.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4), obj, cons...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,102 +243,7 @@ func TestRecommendMatchesNaiveSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Best.Cfg != want.Best.Cfg {
-				t.Errorf("%s: hoisted sweep picks %s, naive picks %s", name, got.Best.Cfg, want.Best.Cfg)
-			}
-			if len(got.Candidates) != len(want.Candidates) {
-				t.Fatalf("%s: candidate counts differ: %d vs %d", name, len(got.Candidates), len(want.Candidates))
-			}
-			for i := range got.Candidates {
-				gc, wc := got.Candidates[i], want.Candidates[i]
-				if gc.Cfg != wc.Cfg || gc.Feasible != wc.Feasible {
-					t.Errorf("%s: candidate %d differs: %s/%v vs %s/%v",
-						name, i, gc.Cfg, gc.Feasible, wc.Cfg, wc.Feasible)
-				}
-				if d := relDiff(gc.TotalSeconds, wc.TotalSeconds); d > equivTol {
-					t.Errorf("%s %s: TotalSeconds %v vs %v (rel diff %.2e)",
-						name, gc.Cfg, gc.TotalSeconds, wc.TotalSeconds, d)
-				}
-				if d := relDiff(gc.CostUSD, wc.CostUSD); d > equivTol {
-					t.Errorf("%s %s: CostUSD %v vs %v (rel diff %.2e)",
-						name, gc.Cfg, gc.CostUSD, wc.CostUSD, d)
-				}
-			}
+			checkRecommendEqual(t, name, got, want)
 		}
-	}
-}
-
-// TestFoldEvalReduction measures the tentpole's point on a cold
-// predictor: serving the whole zoo through the folded path must run at
-// least 5x fewer heavy-op regressions than the naive per-node sweep.
-func TestFoldEvalReduction(t *testing.T) {
-	pl := DefaultPipeline(17)
-	pl.ProfileIterations = 20
-	pl.CommIterations = 5
-	p, _, err := pl.TrainOn(context.Background(), zoo.Build, zoo.TrainingSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := make([]*graph.Graph, 0, len(zoo.Names()))
-	for _, name := range zoo.Names() {
-		graphs = append(graphs, zoo.MustBuild(name, 32))
-	}
-	cands := cloud.Configs(4)
-
-	base := p.ModelEvaluations()
-	for _, g := range graphs {
-		for _, cfg := range cands {
-			if _, err := p.PredictIterationUnfolded(g, cfg.GPU, cfg.K, Full); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	naive := p.ModelEvaluations() - base
-
-	base = p.ModelEvaluations()
-	for _, g := range graphs {
-		if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, MinimizeCost); err != nil {
-			t.Fatal(err)
-		}
-	}
-	folded := p.ModelEvaluations() - base
-	if folded == 0 {
-		t.Fatal("folded sweep ran zero evaluations on a cold memo — counter broken")
-	}
-	ratio := float64(naive) / float64(folded)
-	t.Logf("zoo sweep: naive %d evals, folded %d evals (%.1fx reduction)", naive, folded, ratio)
-	if ratio < 5 {
-		t.Errorf("eval reduction %.1fx, want >= 5x", ratio)
-	}
-
-	// A second folded sweep hits the memo exclusively.
-	base = p.ModelEvaluations()
-	for _, g := range graphs {
-		if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, MinimizeCost); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if warm := p.ModelEvaluations() - base; warm != 0 {
-		t.Errorf("warm folded sweep re-ran %d evaluations, want 0", warm)
-	}
-}
-
-// TestPredictIterationAllocFree pins the warm serving path at zero
-// allocations per prediction.
-func TestPredictIterationAllocFree(t *testing.T) {
-	p, _ := predictor(t)
-	g := zoo.MustBuild("resnet-152", 32)
-	if _, err := p.PredictIteration(g, gpu.V100, 4, Full); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	n := testing.AllocsPerRun(100, func() {
-		_, err = p.PredictIteration(g, gpu.V100, 4, Full)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("warm PredictIteration allocates %v per call, want 0", n)
 	}
 }

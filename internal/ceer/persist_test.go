@@ -38,14 +38,15 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 
 	// Predictions identical for a test CNN across configurations.
 	g := zoo.MustBuild("inception-v3", 32)
+	pc, lc := compileFor(t, p, g), compileFor(t, loaded, g)
 	for _, m := range gpu.All() {
 		for _, k := range []int{1, 2, 4} {
 			cfg := cloud.Config{GPU: m, K: k}
-			a, err := p.PredictTraining(g, cfg, dataset.ImageNet, cloud.OnDemand)
+			a, err := pc.PredictTraining(g, cfg, dataset.ImageNet, cloud.OnDemand)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := loaded.PredictTraining(g, cfg, dataset.ImageNet, cloud.OnDemand)
+			b, err := lc.PredictTraining(g, cfg, dataset.ImageNet, cloud.OnDemand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 
 	// A reloaded predictor can also drive the recommender.
-	rec, err := loaded.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost)
+	rec, err := lc.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +301,13 @@ func TestV2UpgradeRoundTrip(t *testing.T) {
 
 	// Same campaign, same coefficients: the upgrade is prediction-invisible.
 	g := zoo.MustBuild("inception-v3", 32)
+	v2c, v3c := compileFor(t, v2, g), compileFor(t, v3, g)
 	for _, m := range gpu.All() {
-		a, err := v2.PredictIteration(g, m, 2, Full)
+		a, err := v2c.PredictIteration(g, m, 2, Full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := v3.PredictIteration(g, m, 2, Full)
+		b, err := v3c.PredictIteration(g, m, 2, Full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,12 +332,13 @@ func TestV2UpgradeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	backc := compileFor(t, back, g)
 	for _, m := range gpu.All() {
-		a, err := v2.PredictIteration(g, m, 1, Full)
+		a, err := v2c.PredictIteration(g, m, 1, Full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.PredictIteration(g, m, 1, Full)
+		b, err := backc.PredictIteration(g, m, 1, Full)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,11 +77,11 @@ func TestCampaignParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cloud.Config{GPU: gpu.V100, K: 2}
-	a, err := serialPred.PredictTraining(g, cfg, dataset.ImageNetSubset6400, cloud.OnDemand)
+	a, err := compileFor(t, serialPred, g).PredictTraining(g, cfg, dataset.ImageNetSubset6400, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallelPred.PredictTraining(g, cfg, dataset.ImageNetSubset6400, cloud.OnDemand)
+	b, err := compileFor(t, parallelPred, g).PredictTraining(g, cfg, dataset.ImageNetSubset6400, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}

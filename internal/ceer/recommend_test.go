@@ -10,12 +10,13 @@ import (
 )
 
 // TestRecommendAllFilteredOut: when every candidate fails a constraint,
-// Recommend must error but still return the full candidate table (the
-// CLI renders it so the user sees why nothing fit).
+// Recommend must error but still return the full candidate table, so a
+// caller can show why nothing fit. (`ceer recommend` itself returns the
+// error without rendering the table.)
 func TestRecommendAllFilteredOut(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("resnet-50", 32)
-	rec, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
+	rec, err := compileFor(t, p, g).Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
 		MinimizeCost, MaxHourlyBudget(0.001, 0))
 	if err == nil {
 		t.Fatal("all-infeasible sweep should error")
@@ -39,12 +40,13 @@ func TestRecommendAllFilteredOut(t *testing.T) {
 func TestMaxTotalBudgetFilters(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("alexnet", 32)
-	free, err := p.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4), MinimizeCost)
+	comp := compileFor(t, p, g)
+	free, err := comp.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4), MinimizeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := free.Best.CostUSD * 1.01
-	rec, err := p.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
+	rec, err := comp.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
 		MinimizeCost, MaxTotalBudget(budget))
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +73,7 @@ func TestMaxTotalBudgetFilters(t *testing.T) {
 func TestRecommendCombinedConstraints(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("vgg-19", 64) // over 8 GB: excludes the 8 GB M60 and 12 GB K80
-	rec, err := p.Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
+	rec, err := compileFor(t, p, g).Recommend(g, dataset.ImageNetSubset6400, cloud.OnDemand, cloud.Configs(4),
 		MinimizeTime, MaxHourlyBudget(15, 0), MaxTotalBudget(1000), FitsGPUMemory(g))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestRecommendInvalidConfig(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("alexnet", 32)
 	bad := []cloud.Config{{GPU: gpu.V100, K: 0}}
-	if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, bad, MinimizeCost); err == nil {
+	if _, err := compileFor(t, p, g).Recommend(g, dataset.ImageNet, cloud.OnDemand, bad, MinimizeCost); err == nil {
 		t.Error("invalid config should error")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
+	"ceer/internal/graph"
 	"ceer/internal/zoo"
 )
 
@@ -146,7 +147,11 @@ func TestFiveDeviceTrainPersistRecommend(t *testing.T) {
 		if !sawG5 {
 			t.Fatal("candidate set lacks G5 configurations")
 		}
-		rec, err := loaded.Recommend(g, dataset.ImageNet, cloud.OnDemand, cfgs, ceer.MinimizeCost)
+		comp, err := ceer.Compile(loaded, []*graph.Graph{g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := comp.Recommend(g, dataset.ImageNet, cloud.OnDemand, cfgs, ceer.MinimizeCost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +175,11 @@ func TestFiveDeviceTrainPersistRecommend(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := zoo.MustBuild("inception-v3", 32)
-	pred, err := loaded.PredictTraining(g, cloud.Config{GPU: A10G, K: 2}, dataset.ImageNet, cloud.OnDemand)
+	comp, err := ceer.Compile(loaded, []*graph.Graph{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := comp.PredictTraining(g, cloud.Config{GPU: A10G, K: 2}, dataset.ImageNet, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}

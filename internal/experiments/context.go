@@ -52,6 +52,9 @@ type Context struct {
 	// is concurrency-safe, so experiments may share the context across
 	// goroutines.
 	graphs *graph.BuildCache
+	// comp is Pred compiled over the zoo graphs at Batch: every
+	// experiment prediction and recommendation reads these tables.
+	comp *ceer.CompiledPredictor
 }
 
 // Options tunes context construction.
@@ -104,7 +107,7 @@ func NewContext(ctx context.Context, opts Options) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training Ceer: %w", err)
 	}
-	return &Context{
+	c := &Context{
 		Ctx:          ctx,
 		Pred:         pred,
 		TrainBundle:  res.Bundle,
@@ -115,7 +118,19 @@ func NewContext(ctx context.Context, opts Options) (*Context, error) {
 		CommObs:      res.CommObs,
 		Workers:      opts.Workers,
 		graphs:       graph.NewBuildCache(zoo.Build),
-	}, nil
+	}
+	graphs := make([]*graph.Graph, 0, len(zoo.Names()))
+	for _, name := range zoo.Names() {
+		g, err := c.Graph(name)
+		if err != nil {
+			return nil, err
+		}
+		graphs = append(graphs, g)
+	}
+	if c.comp, err = ceer.Compile(pred, graphs); err != nil {
+		return nil, fmt.Errorf("experiments: compiling Ceer: %w", err)
+	}
+	return c, nil
 }
 
 // Graph returns (building and caching) the named CNN at the context's

@@ -73,7 +73,7 @@ func Fig08(c *Context) (*Fig08Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred, err := c.Pred.PredictTraining(g, cfg, ds, cloud.OnDemand)
+			pred, err := c.comp.PredictTraining(g, cfg, ds, cloud.OnDemand)
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +214,7 @@ func Fig09(c *Context) (*Fig09Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred, err := c.Pred.PredictTraining(g, cfg, ds, cloud.OnDemand)
+			pred, err := c.comp.PredictTraining(g, cfg, ds, cloud.OnDemand)
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +328,7 @@ func Fig10(c *Context) (*Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := c.Pred.PredictTraining(g, cfg, ds, cloud.OnDemand)
+		pred, err := c.comp.PredictTraining(g, cfg, ds, cloud.OnDemand)
 		if err != nil {
 			return nil, err
 		}
@@ -433,7 +433,7 @@ func costMinimization(c *Context, pricing cloud.Pricing, alternatives map[string
 		if err != nil {
 			return nil, err
 		}
-		pred, err := c.Pred.PredictTraining(g, cfg, ds, pricing)
+		pred, err := c.comp.PredictTraining(g, cfg, ds, pricing)
 		if err != nil {
 			return nil, err
 		}

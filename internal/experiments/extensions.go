@@ -8,6 +8,7 @@ import (
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
+	"ceer/internal/graph"
 	"ceer/internal/sim"
 	"ceer/internal/stats"
 	"ceer/internal/textutil"
@@ -50,12 +51,16 @@ func ExtBatch(c *Context) (*ExtBatchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		recCost, err := c.Pred.Recommend(g, dataset.ImageNet, cloud.OnDemand,
+		comp, err := c.comp.ForGraph(g)
+		if err != nil {
+			return nil, err
+		}
+		recCost, err := comp.Recommend(g, dataset.ImageNet, cloud.OnDemand,
 			cloud.Configs(4), ceer.MinimizeCost)
 		if err != nil {
 			return nil, err
 		}
-		recTime, err := c.Pred.Recommend(g, dataset.ImageNet, cloud.OnDemand,
+		recTime, err := comp.Recommend(g, dataset.ImageNet, cloud.OnDemand,
 			cloud.Configs(4), ceer.MinimizeTime)
 		if err != nil {
 			return nil, err
@@ -108,6 +113,14 @@ func ExtSelection(c *Context) (*ExtSelectionResult, error) {
 		QuadCount: make(map[string]int),
 	}
 	ds := dataset.ImageNetSubset6400
+	var graphs []*graph.Graph
+	for _, cnn := range zoo.TestSet() {
+		g, err := c.Graph(cnn)
+		if err != nil {
+			return nil, err
+		}
+		graphs = append(graphs, g)
+	}
 	for name, degree := range variants {
 		pred, err := ceer.TrainWithDegree(c.TrainBundle, c.CommObs, degree)
 		if err != nil {
@@ -118,19 +131,19 @@ func ExtSelection(c *Context) (*ExtSelectionResult, error) {
 				res.QuadCount[name]++
 			}
 		}
+		comp, err := ceer.Compile(pred, graphs)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: compiling %s variant: %w", name, err)
+		}
 		var errs []float64
-		for _, cnn := range zoo.TestSet() {
-			g, err := c.Graph(cnn)
-			if err != nil {
-				return nil, err
-			}
+		for _, g := range graphs {
 			for _, m := range gpu.All() {
 				cfg := cloud.Config{GPU: m, K: 1}
 				obs, err := sim.Train(c.Ctx, g, cfg, ds, c.MeasureIters, c.measureSeed())
 				if err != nil {
 					return nil, err
 				}
-				p, err := pred.PredictTraining(g, cfg, ds, cloud.OnDemand)
+				p, err := comp.PredictTraining(g, cfg, ds, cloud.OnDemand)
 				if err != nil {
 					return nil, err
 				}

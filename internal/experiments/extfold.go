@@ -22,10 +22,10 @@ type ExtFoldRow struct {
 	HeavyClasses int
 }
 
-// ExtFoldResult quantifies the redundancy the folded serving path
-// exploits (DESIGN.md "Serving-path performance"): CNN DAGs repeat
-// identical modules, so unique op classes are a small fraction of
-// nodes, and prediction cost scales with the former.
+// ExtFoldResult quantifies the redundancy the compiled tables exploit
+// (DESIGN.md "Serving-path performance"): CNN DAGs repeat identical
+// modules, so unique op classes are a small fraction of nodes, and
+// compile cost scales with the former.
 type ExtFoldResult struct {
 	Rows []ExtFoldRow
 }
@@ -69,7 +69,7 @@ func (r *ExtFoldResult) Table() *textutil.Table {
 			fmt.Sprintf("%.2f", row.Ratio),
 			fmt.Sprintf("%d", row.HeavyNodes), fmt.Sprintf("%d", row.HeavyClasses))
 	}
-	t.AddNote("the folded serving path evaluates one regression per heavy class, not per")
-	t.AddNote("node, and memoizes it per (device, signature); see BENCH_predict.json")
+	t.AddNote("the compiled tables evaluate one regression per heavy class and device,")
+	t.AddNote("not per node, once per model generation; see BENCH_predict.json")
 	return t
 }

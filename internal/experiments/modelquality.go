@@ -115,7 +115,7 @@ func Sec4A(c *Context) (*Sec4AResult, error) {
 			}
 			cell := AblationCell{CNN: name, GPU: m, Errors: make(map[ceer.Variant]float64)}
 			for _, v := range variants {
-				pred, err := c.Pred.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, v)
+				pred, err := c.comp.PredictTrainingVariant(g, cfg, ds, cloud.OnDemand, v)
 				if err != nil {
 					return nil, err
 				}
@@ -181,7 +181,7 @@ func Overall(c *Context) (*OverallResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				pred, err := c.Pred.PredictTraining(g, cfg, ds, cloud.OnDemand)
+				pred, err := c.comp.PredictTraining(g, cfg, ds, cloud.OnDemand)
 				if err != nil {
 					return nil, err
 				}

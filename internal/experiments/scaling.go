@@ -54,7 +54,7 @@ func Fig06(c *Context) (*Fig06Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred, err := c.Pred.PredictTraining(g, cfg, ds, cloud.OnDemand)
+			pred, err := c.comp.PredictTraining(g, cfg, ds, cloud.OnDemand)
 			if err != nil {
 				return nil, err
 			}

@@ -105,12 +105,30 @@ func appendCandidate(b []byte, m *candMeta, c *ceer.Candidate) []byte {
 	return append(b, '}')
 }
 
+// tablesFor returns the tables and graph that answer the request: the
+// serving tables at the compiled batch size, or, at any other batch,
+// the requested graph compiled alone from the serving generation's
+// predictor (once per request, so it answers like a daemon compiled at
+// that batch).
+func (s *Server) tablesFor(q *query, me *modelEntry) (*ceer.CompiledSystem, *ceer.Graph, error) {
+	comp := s.box.Load()
+	if q.batch == s.batch {
+		return comp, me.g, nil
+	}
+	g, err := ceer.BuildModelCached(q.model, q.batch)
+	if err != nil {
+		return nil, nil, err
+	}
+	comp, err = comp.ForGraph(g)
+	return comp, g, err
+}
+
 // renderPredict fills sc.buf with the /v1/predict document for the
 // candidate set. Returns (200, "") or an error status and message.
 // Requests at the compiled batch size gather from the hot tables; other
-// batch sizes fall back to the folded predictor (cold, may allocate).
+// batch sizes first compile the requested graph (cold, allocates).
 //
-//hot:exempt amortized append encoding plus an explicit cold fallback branch; hot-table math is proven via the //hot:path marks on the compiled predictor itself
+//hot:exempt amortized append encoding plus a cold one-graph compile for non-default batches; hot-table math is proven via the //hot:path marks on the compiled predictor itself
 func (s *Server) renderPredict(sc *scratch, me *modelEntry, cands []ceer.InstanceConfig, metas []candMeta) (int, string) {
 	q := &sc.q
 	ds := ceer.Dataset{Name: "request", Samples: q.samples}
@@ -118,16 +136,9 @@ func (s *Server) renderPredict(sc *scratch, me *modelEntry, cands []ceer.Instanc
 	if q.market {
 		pricing = ceer.MarketRatio
 	}
-	comp := s.box.Load()
-	g := me.g
-	var cold *ceer.System
-	if q.batch != s.batch {
-		cold = s.sys.Load()
-		cg, err := ceer.BuildModelCached(q.model, q.batch)
-		if err != nil {
-			return http.StatusBadRequest, err.Error()
-		}
-		g = cg
+	comp, g, err := s.tablesFor(q, me)
+	if err != nil {
+		return http.StatusBadRequest, err.Error()
 	}
 
 	b := sc.buf[:0]
@@ -143,13 +154,7 @@ func (s *Server) renderPredict(sc *scratch, me *modelEntry, cands []ceer.Instanc
 	b = appendKey(b, false, "predictions")
 	b = append(b, '[')
 	for i := range cands {
-		var p ceer.Prediction
-		var err error
-		if cold != nil {
-			p, err = cold.PredictTraining(g, cands[i], ds, pricing)
-		} else {
-			p, err = comp.PredictTraining(g, cands[i], ds, pricing)
-		}
+		p, err := comp.PredictTraining(g, cands[i], ds, pricing)
 		if err != nil {
 			return http.StatusBadRequest, err.Error()
 		}
@@ -170,7 +175,7 @@ func (s *Server) renderPredict(sc *scratch, me *modelEntry, cands []ceer.Instanc
 // the document is appended candidate by candidate (metas parallel the
 // candidate order).
 //
-//hot:exempt amortized append encoding plus an explicit cold fallback branch; hot-table math is proven via the //hot:path marks on the compiled predictor itself
+//hot:exempt amortized append encoding plus a cold one-graph compile for non-default batches; hot-table math is proven via the //hot:path marks on the compiled predictor itself
 func (s *Server) renderRecommend(sc *scratch, me *modelEntry, cands []ceer.InstanceConfig, metas []candMeta) (int, string) {
 	q := &sc.q
 	ds := ceer.Dataset{Name: "request", Samples: q.samples}
@@ -182,20 +187,11 @@ func (s *Server) renderRecommend(sc *scratch, me *modelEntry, cands []ceer.Insta
 	if q.objective == "time" {
 		obj = ceer.MinimizeTime
 	}
-	comp := s.box.Load()
-	if q.batch != s.batch {
-		// Cold fallback for non-compiled batch sizes.
-		cold := s.sys.Load()
-		cg, err := ceer.BuildModelCached(q.model, q.batch)
-		if err != nil {
-			return http.StatusBadRequest, err.Error()
-		}
-		rec, err := cold.Recommend(cg, ds, pricing, cands, obj, sc.constraints()...)
-		if err != nil {
-			return http.StatusBadRequest, err.Error()
-		}
-		sc.rec = rec
-	} else if err := comp.RecommendInto(&sc.rec, me.g, ds, pricing, cands, obj, sc.constraints()...); err != nil {
+	comp, g, err := s.tablesFor(q, me)
+	if err != nil {
+		return http.StatusBadRequest, err.Error()
+	}
+	if err := comp.RecommendInto(&sc.rec, g, ds, pricing, cands, obj, sc.constraints()...); err != nil {
 		return http.StatusBadRequest, err.Error()
 	}
 
@@ -267,7 +263,7 @@ func (s *Server) renderHealthz(sc *scratch, now int64) {
 }
 
 // handleExplain is the /v1/explain cold path: per-op-type attribution
-// through the folded predictor, marshaled with encoding/json.
+// read from the serving tables, marshaled with encoding/json.
 //
 //hot:exempt cold diagnostic endpoint; allocates by design
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int64) {
@@ -301,7 +297,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 		k = 1
 	}
 	comp := s.box.Load()
-	ex, err := comp.Predictor().ExplainIteration(me.g, ceer.GPUModel(q.gpu), k)
+	ex, err := comp.ExplainIteration(me.g, ceer.GPUModel(q.gpu), k)
 	if err != nil {
 		s.respondError(w, epExplain, http.StatusBadRequest, err.Error(), start)
 		return

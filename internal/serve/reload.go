@@ -143,7 +143,6 @@ func (s *Server) Reload() (uint64, error) {
 	if err := s.probe(comp); err != nil {
 		return s.reject(ReloadCauseProbe, err)
 	}
-	s.sys.Store(sys)
 	s.met.srv.reloads.Add(1)
 	s.lastReloadCause.Store(nil)
 	return s.Install(comp), nil

@@ -34,8 +34,9 @@ import (
 // batch with no admission limits.
 type Options struct {
 	// Batch is the per-GPU batch size the zoo tables are compiled at
-	// (0 = the paper default, 32). Requests for other batch sizes fall
-	// back to the uncompiled folded predictor (cold path).
+	// (0 = the paper default, 32). A request for another batch size
+	// compiles its one graph from the serving generation's predictor
+	// (cold path, once per request).
 	Batch int64
 	// MaxK bounds candidate GPU counts per family (0 = 4, the paper's
 	// sweep).
@@ -114,11 +115,10 @@ type Server struct {
 	budget int64 // RequestTimeout in nanos (0 = none)
 
 	// box holds the compiled serving tables; swaps go through Store via
-	// Reload/Install (or a Calibrator bound to Box()). sys is the System
-	// behind the current tables, for the cold non-default-batch path.
+	// Reload/Install (or a Calibrator bound to Box()). Every answer,
+	// at any batch size, comes from the tables it holds.
 	box ceer.CompiledBox
 	gen atomic.Uint64
-	sys atomic.Pointer[ceer.System]
 
 	models []modelEntry
 	// candsByK[k] / metaByK[k] list every candidate configuration with
@@ -181,7 +181,6 @@ func New(sys *ceer.System, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: compiling zoo tables: %w", err)
 	}
 	s.box.Store(comp)
-	s.sys.Store(sys)
 
 	names := ceer.Models()
 	s.models = make([]modelEntry, 0, len(names))

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -299,6 +301,95 @@ func TestExplainEndpoint(t *testing.T) {
 	share += m["comm_share"].(float64)
 	if share <= 0 || share > 1.01 {
 		t.Errorf("shares sum to %v, want in (0, 1]", share)
+	}
+}
+
+// TestExplainMatchesPredict: /v1/explain reads the same table as
+// /v1/predict, so for every zoo model × device × k ∈ {1,2,4} the
+// per-iteration fields print the same bytes on both endpoints.
+func TestExplainMatchesPredict(t *testing.T) {
+	s := newTestServer(t, Options{})
+	fields := []string{"heavy_s", "light_s", "cpu_s", "comm_s", "iter_s"}
+	cells := 0
+	for _, model := range ceer.Models() {
+		for _, cfg := range ceer.AllConfigs(4) {
+			if cfg.K == 3 {
+				continue
+			}
+			pq := "model=" + model + "&config=" + cfg.String()
+			status, body := s.DoLocal(http.MethodGet, "/v1/predict", pq)
+			if status != http.StatusOK {
+				t.Fatalf("GET /v1/predict?%s: status %d: %s", pq, status, body)
+			}
+			var pdoc struct {
+				Predictions []map[string]json.RawMessage `json:"predictions"`
+			}
+			if err := json.Unmarshal(body, &pdoc); err != nil || len(pdoc.Predictions) != 1 {
+				t.Fatalf("GET /v1/predict?%s: %v\n%s", pq, err, body)
+			}
+			eq := fmt.Sprintf("model=%s&gpu=%s&k=%d", model, string(cfg.GPU), cfg.K)
+			status, body = s.DoLocal(http.MethodGet, "/v1/explain", eq)
+			if status != http.StatusOK {
+				t.Fatalf("GET /v1/explain?%s: status %d: %s", eq, status, body)
+			}
+			var edoc map[string]json.RawMessage
+			if err := json.Unmarshal(body, &edoc); err != nil {
+				t.Fatalf("GET /v1/explain?%s: %v\n%s", eq, err, body)
+			}
+			for _, f := range fields {
+				if got, want := edoc[f], pdoc.Predictions[0][f]; !bytes.Equal(got, want) {
+					t.Errorf("%s on %s: explain %s = %s, predict %s = %s", model, cfg, f, got, f, want)
+				}
+			}
+			cells++
+		}
+	}
+	if want := len(ceer.Models()) * len(ceer.AllConfigs(1)) * 3; cells != want {
+		t.Errorf("compared %d cells, want %d", cells, want)
+	}
+}
+
+// TestNonDefaultBatchFollowsSwap: a request at a batch size other than
+// the compiled one is answered from the serving generation's
+// predictor, so an accepted calibration swap moves it too, and it
+// answers byte for byte like a daemon compiled at that batch size.
+func TestNonDefaultBatchFollowsSwap(t *testing.T) {
+	const q = "model=resnet-50&batch=64&config=1xP3"
+	s := newTestServer(t, Options{
+		ReloadTolerance: 1e9,
+		Calibration:     &CalibrationOptions{Policy: ceer.CalibrationPolicy{RefitEvery: 64}},
+	})
+	status, before := s.DoLocal(http.MethodGet, "/v1/predict", q)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, before)
+	}
+	gen0 := s.Generation()
+	drifted := obsBody(scaleObs(t, testObsLines(t, 2000), 1.3))
+	for i := 0; s.Generation() == gen0; i++ {
+		if i == 5 {
+			t.Fatal("no calibration swap installed under an accept-everything tolerance")
+		}
+		postObserve(t, s, drifted, http.StatusOK)
+	}
+	_, after := s.DoLocal(http.MethodGet, "/v1/predict", q)
+	if bytes.Equal(before, after) {
+		t.Fatalf("batch=64 answer unchanged across generation %d -> %d: %s", gen0, s.Generation(), after)
+	}
+
+	var saved bytes.Buffer
+	if err := s.Box().Load().Predictor().Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	calibrated, err := ceer.Load(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(calibrated, Options{Batch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want := ref.DoLocal(http.MethodGet, "/v1/predict", q); !bytes.Equal(after, want) {
+		t.Errorf("batch=64 answer diverges from a daemon compiled at batch 64\n got: %s\nwant: %s", after, want)
 	}
 }
 

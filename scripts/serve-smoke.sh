@@ -3,8 +3,9 @@
 # daemon on an ephemeral port against a freshly trained model file,
 # hits every endpoint, byte-compares the daemon's /v1/predict body with
 # `ceer predict -json` for the same query (the CLI renders through the
-# daemon's own encoder, so any divergence is a bug), exercises the
-# hot-reload admin endpoint, and drains with SIGTERM.
+# daemon's own encoder, so any divergence is a bug), repeats the
+# comparison for every zoo model at a non-default batch size, exercises
+# the hot-reload admin endpoint, and drains with SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +76,23 @@ if ! cmp -s "${tmp}/predict.json" "${tmp}/predict_cli.json"; then
     diff "${tmp}/predict.json" "${tmp}/predict_cli.json" >&2 || true
     exit 1
 fi
+
+echo "== serve smoke: non-default batch equals a CLI compiled at that batch"
+# The daemon compiles its tables at batch 32; a batch=64 request is
+# answered from a one-graph compile of the same generation, so it must
+# print exactly what `ceer predict -json -batch 64` prints.
+models=$("${tmp}/ceer" zoo | awk 'NR > 4 { print $1 }')
+[[ -n "${models}" ]]
+for m in ${models}; do
+    fetch "/v1/predict?model=${m}&batch=64" "${tmp}/predict64_daemon.json"
+    "${tmp}/ceer" predict -json -models "${tmp}/models.json" \
+        -model "${m}" -batch 64 >"${tmp}/predict64_cli.json"
+    if ! cmp -s "${tmp}/predict64_daemon.json" "${tmp}/predict64_cli.json"; then
+        echo "serve smoke FAILED: ${m}: daemon batch=64 and 'ceer predict -json -batch 64' diverge" >&2
+        diff "${tmp}/predict64_daemon.json" "${tmp}/predict64_cli.json" >&2 || true
+        exit 1
+    fi
+done
 
 echo "== serve smoke: rejected reload keeps the old generation"
 cp "${tmp}/models.json" "${tmp}/models.good.json"
