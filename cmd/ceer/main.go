@@ -491,20 +491,32 @@ func cmdPredict(args []string) (err error) {
 		Title:  fmt.Sprintf("Predicted training of %s (%d samples, batch %d, %s prices)", *model, *samples, *batch, pricing),
 		Header: []string{"config", "instance", "$/hr", "iter (ms)", "total (h)", "cost"},
 	}
+	degraded := map[string]string{}
 	for _, cfg := range cfgs {
-		pred, err := comp.PredictTraining(g, cfg, ds, pricing)
+		cand, err := comp.PredictCandidate(g, cfg, ds, pricing)
+		if err == nil && *configStr != "" && !cand.Feasible {
+			// As in the daemon: a sweep answers a degraded device
+			// without its comm model, a named configuration does not.
+			_, err = comp.PredictTraining(g, cfg, ds, pricing)
+		}
 		if err != nil {
 			return err
 		}
-		tbl.AddRow(cfg.String(), ceer.InstanceName(cfg),
-			fmt.Sprintf("%.3f", pred.HourlyUSD),
-			textutil.Ms(pred.Iter.PerIterSeconds),
-			textutil.Hours(pred.TotalSeconds),
-			textutil.USD(pred.CostUSD))
-		if len(pred.Iter.UnseenHeavy) > 0 {
-			tbl.AddNote("%s: unseen heavy ops %v — prediction degraded; retrain Ceer", cfg, pred.Iter.UnseenHeavy)
+		marker := ""
+		if cand.Degraded != "" {
+			marker = " †"
+			degraded[string(cfg.GPU)] = cand.Degraded
+		}
+		tbl.AddRow(cfg.String()+marker, ceer.InstanceName(cfg),
+			fmt.Sprintf("%.3f", cand.HourlyUSD),
+			textutil.Ms(cand.Iter.PerIterSeconds),
+			textutil.Hours(cand.TotalSeconds),
+			textutil.USD(cand.CostUSD))
+		if len(cand.Iter.UnseenHeavy) > 0 {
+			tbl.AddNote("%s: unseen heavy ops %v — prediction degraded; retrain Ceer", cfg, cand.Iter.UnseenHeavy)
 		}
 	}
+	noteDegraded(tbl, sys, degraded)
 	if err := tbl.Render(os.Stdout); err != nil {
 		return err
 	}
@@ -671,17 +683,21 @@ func cmdRecommend(args []string) (err error) {
 	tbl.AddNote("recommended: %s (%s) at %s, %s",
 		rec.Best.Cfg, ceer.InstanceName(rec.Best.Cfg),
 		textutil.Hours(rec.Best.TotalSeconds)+"h", textutil.USD(rec.Best.CostUSD))
-	if len(degraded) > 0 {
-		for _, m := range sys.DegradedDevices() {
-			if reason, ok := degraded[string(m)]; ok {
-				tbl.AddNote("† %s trained on partial coverage: %s", m, reason)
-			}
-		}
-		if rec.Best.Degraded != "" {
-			tbl.AddNote("no cleanly-covered feasible configuration; the recommendation is degraded")
-		}
+	noteDegraded(tbl, sys, degraded)
+	if rec.Best.Degraded != "" {
+		tbl.AddNote("no cleanly-covered feasible configuration; the recommendation is degraded")
 	}
 	return tbl.Render(os.Stdout)
+}
+
+// noteDegraded footnotes every device whose rows are marked †, keyed
+// by device ID in degraded, with its partial-coverage reason.
+func noteDegraded(tbl *textutil.Table, sys *ceer.System, degraded map[string]string) {
+	for _, m := range sys.DegradedDevices() {
+		if reason, ok := degraded[string(m)]; ok {
+			tbl.AddNote("† %s trained on partial coverage: %s", m, reason)
+		}
+	}
 }
 
 // cmdDevices prints the device registry: one row per registered GPU

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
+	"net/http"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"ceer"
+	"ceer/internal/serve"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -92,5 +96,85 @@ func TestRenderExplanationSmoke(t *testing.T) {
 	}
 	if err := renderNodeExplanation(comp, g, cfg.GPU, 5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what it wrote.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = out
+	ferr := f()
+	os.Stdout = orig
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPredictDegradedSweep: on a predictor whose G3 device lost every
+// campaign cell (and so its comm models), `ceer predict` sweeps answer
+// instead of failing: -json prints the daemon's bytes, and the table
+// marks the G3 rows † with recommend's footnote.
+func TestPredictDegradedSweep(t *testing.T) {
+	sys, err := ceer.Train(ceer.TrainOptions{
+		Seed: 4, ProfileIterations: 20, CommIterations: 5,
+		Faults: &ceer.FaultSpec{Seed: 5, PermanentDevices: []string{"m60"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "models.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ceer.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(loaded, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, want := srv.DoLocal(http.MethodGet, "/v1/predict", "model=alexnet")
+	if status != http.StatusOK || !bytes.Contains(want, []byte(`"degraded":`)) {
+		t.Fatalf("daemon sweep: status %d, want 200 with degraded entries: %s", status, want)
+	}
+	got := captureStdout(t, func() error {
+		return cmdPredict([]string{"-models", path, "-model", "alexnet", "-json"})
+	})
+	if !bytes.Equal(got, want) {
+		t.Errorf("ceer predict -json diverges from the daemon\n got: %s\nwant: %s", got, want)
+	}
+	table := captureStdout(t, func() error {
+		return cmdPredict([]string{"-models", path, "-model", "alexnet"})
+	})
+	for _, wantLine := range []string{"1xG3 †", "4xG3 †", "† Tesla M60 trained on partial coverage:"} {
+		if !bytes.Contains(table, []byte(wantLine)) {
+			t.Errorf("predict table lacks %q:\n%s", wantLine, table)
+		}
+	}
+	if bytes.Contains(table, []byte("P3 †")) {
+		t.Errorf("predict table marks a clean device degraded:\n%s", table)
 	}
 }

@@ -3,6 +3,7 @@ package ceer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -23,12 +24,13 @@ const (
 
 // CompiledPredictor is the one prediction path of a trained Predictor:
 // every (device, signature class) time over a set of graphs is
-// evaluated once at compile time into immutable flat arrays, so every
-// prediction, recommendation and explanation is a gather-and-sum over
-// precomputed tables. No mutex, no map lookups, and no allocations on
-// the read path; a CompiledPredictor is immutable after Compile and
-// safe for any number of concurrent readers. Hot-swap a rebuilt
-// instance atomically through CompiledBox.
+// evaluated once at compile time into immutable flat arrays, and every
+// (graph, device) op sum gathered from them, so every prediction and
+// recommendation is a lookup plus Eq. (2)'s arithmetic and every
+// explanation a gather over the class table. No mutex, no map lookups,
+// and no allocations on the read path; a CompiledPredictor is
+// immutable after Compile and safe for any number of concurrent
+// readers. Hot-swap a rebuilt instance atomically through CompiledBox.
 //
 // Signatures are deduplicated across the whole graph set: classes
 // shared by several CNNs, the common case in a CNN zoo, occupy one
@@ -54,10 +56,10 @@ type CompiledPredictor struct {
 	kinds []uint8
 	times []float64
 
-	// unseen holds, per (graph, device) at gi*nd+di, the sorted heavy
-	// types lacking a trained model (nil when none) — precomputed so
-	// the hot path never appends.
-	unseen [][]ops.Type
+	// sums holds every (graph, device) op-sum at gi*nd+di, gathered
+	// once at compile time, so a prediction is one lookup plus Eq. (2)'s
+	// arithmetic.
+	sums []opSums
 
 	// comm holds the precomputed communication overhead per (graph,
 	// device, k) at (gi*nd+di)*(maxK+1)+k; hasComm, per (device, k) at
@@ -72,9 +74,10 @@ type CompiledPredictor struct {
 // over a fixed set of graphs: it folds the graphs into one global
 // signature-class table (graph.FoldAll), batch-evaluates every heavy
 // class on every registered device (regress.PredictBatch, one
-// struct-of-arrays matrix per (device, op type)), and precomputes the
-// per-(graph, device, k) communication terms. Compile-time cost is
-// amortized across every subsequent prediction; see Stats.
+// struct-of-arrays matrix per (device, op type)), gathers every
+// (graph, device) op sum, and precomputes the per-(graph, device, k)
+// communication terms. Compile-time cost is amortized across every
+// subsequent prediction; see Stats.
 func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("ceer: compile with no graphs")
@@ -163,31 +166,10 @@ func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 		}
 	}
 
-	// Per-(graph, device) unseen heavy types, precomputed and sorted so
-	// the hot path only hands out shared slices.
-	c.unseen = make([][]ops.Type, c.ng*c.nd)
+	c.sums = make([]opSums, c.ng*c.nd)
 	for gi := 0; gi < c.ng; gi++ {
 		for di := 0; di < c.nd; di++ {
-			base := di * c.nc
-			var types []ops.Type
-			for _, pc := range gf.PerGraph(gi) {
-				if c.kinds[base+pc.Class] != kindUnseen {
-					continue
-				}
-				t := classes[pc.Class].Rep.Op.Type
-				dup := false
-				for _, seen := range types {
-					if seen == t {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					types = append(types, t)
-				}
-			}
-			sortTypes(types)
-			c.unseen[gi*c.nd+di] = types
+			c.sums[gi*c.nd+di] = c.classSums(gi, di)
 		}
 	}
 
@@ -253,27 +235,38 @@ type opSums struct {
 
 // classSums gathers graph gi's op-sum on device di from the compiled
 // tables: Σ count × table time over the graph's class pairs, with
-// median-estimated instances counted for later assembly. This is the
-// whole per-prediction compute of the compiled path.
-//
-//hot:path
+// median-estimated instances counted for later assembly and the heavy
+// types lacking a model collected, sorted. Compile runs it once per
+// (graph, device) into the sums table.
 func (c *CompiledPredictor) classSums(gi, di int) opSums {
 	var s opSums
 	base := di * c.nc
+	classes := c.fold.Classes()
 	for _, pc := range c.fold.PerGraph(gi) {
 		switch c.kinds[base+pc.Class] {
 		case kindHeavy:
 			s.modeledHeavy += float64(pc.Count) * c.times[base+pc.Class]
 		case kindUnseen:
 			s.unseenHeavy += pc.Count
+			if t := classes[pc.Class].Rep.Op.Type; !slices.Contains(s.unseenTypes, t) {
+				s.unseenTypes = append(s.unseenTypes, t)
+			}
 		case kindLight:
 			s.light += pc.Count
 		case kindCPU:
 			s.cpu += pc.Count
 		}
 	}
-	s.unseenTypes = c.unseen[gi*c.nd+di]
+	sortTypes(s.unseenTypes)
 	return s
+}
+
+// hasCommModel reports whether device di has a communication model for
+// k GPUs.
+//
+//hot:path
+func (c *CompiledPredictor) hasCommModel(di, k int) bool {
+	return k >= 1 && k <= c.maxK && c.hasComm[di*(c.maxK+1)+k]
 }
 
 // assemble builds an IterPrediction from gathered sums plus the
@@ -291,7 +284,7 @@ func (c *CompiledPredictor) assemble(gi, di, k int, v Variant, s opSums) (IterPr
 		out.CPUSeconds = float64(s.cpu) * c.p.CPUMedian
 	}
 	if v == Full || v == HeavyOnly {
-		if k < 1 || k > c.maxK || !c.hasComm[di*(c.maxK+1)+k] {
+		if !c.hasCommModel(di, k) {
 			//lint:ignore allocfree error construction on the failure exit only; the success path never reaches it
 			return IterPrediction{}, fmt.Errorf("ceer: no communication model for %s k=%d", c.devices[di].Family(), k)
 		}
@@ -322,7 +315,7 @@ func (c *CompiledPredictor) PredictIteration(g *graph.Graph, m gpu.ID, k int, v 
 		//lint:ignore allocfree error construction on the failure exit only; the success path never reaches it
 		return IterPrediction{}, fmt.Errorf("ceer: device %s is not in the compiled set", m)
 	}
-	return c.assemble(gi, di, k, v, c.classSums(gi, di))
+	return c.assemble(gi, di, k, v, c.sums[gi*c.nd+di])
 }
 
 // PredictTraining predicts the end-to-end training time and cost of one
@@ -364,8 +357,7 @@ func (c *CompiledPredictor) Recommend(g *graph.Graph, ds dataset.Dataset, pricin
 // RecommendInto is Recommend writing into a caller-owned
 // Recommendation, reusing rec.Candidates' capacity so a steady-state
 // serving loop recommends with zero allocations. rec is fully
-// overwritten. The op-sum is gathered once per device run (only the
-// communication term of Eq. (2) depends on k).
+// overwritten.
 func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, ds dataset.Dataset,
 	pricing cloud.Pricing, candidates []cloud.Config, obj Objective, constraints ...Constraint) error {
 	if len(candidates) == 0 {
@@ -380,61 +372,27 @@ func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, d
 	bestScore, bestDegradedScore := math.Inf(1), math.Inf(1)
 	var bestDegraded Candidate
 	found, foundDegraded := false, false
-	// Candidate lists group one device's ks together (cloud.Configs
-	// order), so caching the last device's gather covers the sweep with
-	// one gather per device without any per-call map or scratch table.
-	lastDI := -1
-	var sums opSums
 	for _, cfg := range candidates {
-		if !cfg.Valid() {
-			return fmt.Errorf("ceer: invalid config %s", cfg)
-		}
-		di := c.deviceIndex(cfg.GPU)
-		if di < 0 {
-			return fmt.Errorf("ceer: device %s is not in the compiled set", cfg.GPU)
-		}
-		if di != lastDI {
-			sums = c.classSums(gi, di)
-			lastDI = di
-		}
-		degradedReason := c.degraded[di]
-		isDegraded := degradedReason != ""
-		commMissing := false
-		iter, err := c.assemble(gi, di, cfg.K, Full, sums)
-		if err != nil {
-			if !isDegraded {
-				return err
-			}
-			// A degraded device may lack its comm model for this k:
-			// predict without the comm term and disqualify the candidate
-			// instead of aborting the sweep.
-			commMissing = true
-			iter, err = c.assemble(gi, di, cfg.K, NoComm, sums)
-			if err != nil {
-				return err
-			}
-		}
-		pred, err := c.p.finishPrediction(g, cfg, ds, pricing, iter)
+		cand, err := c.candidate(gi, g, cfg, ds, pricing)
 		if err != nil {
 			return err
 		}
-		cand := Candidate{Prediction: pred, Feasible: !commMissing, Degraded: degradedReason}
 		if cand.Feasible {
 			for _, cons := range constraints {
-				if !cons(pred) {
+				if !cons(cand.Prediction) {
 					cand.Feasible = false
 					break
 				}
 			}
 		}
 		if cand.Feasible {
-			cand.Score = obj(pred.TotalSeconds, pred.CostUSD)
+			cand.Score = obj(cand.TotalSeconds, cand.CostUSD)
 			switch {
-			case !isDegraded && cand.Score < bestScore:
+			case cand.Degraded == "" && cand.Score < bestScore:
 				bestScore = cand.Score
 				rec.Best = cand
 				found = true
-			case isDegraded && cand.Score < bestDegradedScore:
+			case cand.Degraded != "" && cand.Score < bestDegradedScore:
 				bestDegradedScore = cand.Score
 				bestDegraded = cand
 				foundDegraded = true
@@ -450,6 +408,49 @@ func (c *CompiledPredictor) RecommendInto(rec *Recommendation, g *graph.Graph, d
 		return fmt.Errorf("ceer: no feasible configuration among %d candidates", len(candidates))
 	}
 	return nil
+}
+
+// PredictCandidate predicts one configuration of a compiled graph the
+// way Recommend evaluates each candidate, before constraints and
+// scoring: the full prediction of Eq. (2), with Degraded set to the
+// device's partial-coverage reason. A degraded device missing the
+// communication model for cfg.K is predicted without the comm term and
+// marked infeasible instead of failing, so a sweep over every
+// candidate answers where PredictTraining would stop.
+func (c *CompiledPredictor) PredictCandidate(g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, pricing cloud.Pricing) (Candidate, error) {
+	gi := c.fold.GraphIndex(g)
+	if gi < 0 {
+		return Candidate{}, fmt.Errorf("ceer: graph %q is not in the compiled set", g.Name)
+	}
+	return c.candidate(gi, g, cfg, ds, pricing)
+}
+
+// candidate is the per-candidate evaluation shared by RecommendInto and
+// PredictCandidate.
+func (c *CompiledPredictor) candidate(gi int, g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, pricing cloud.Pricing) (Candidate, error) {
+	if !cfg.Valid() {
+		return Candidate{}, fmt.Errorf("ceer: invalid config %s", cfg)
+	}
+	di := c.deviceIndex(cfg.GPU)
+	if di < 0 {
+		return Candidate{}, fmt.Errorf("ceer: device %s is not in the compiled set", cfg.GPU)
+	}
+	cand := Candidate{Feasible: true, Degraded: c.degraded[di]}
+	v := Full
+	if cand.Degraded != "" && !c.hasCommModel(di, cfg.K) {
+		// A degraded device may lack its comm model for this k:
+		// predict without the comm term and disqualify the candidate
+		// instead of aborting the sweep.
+		v, cand.Feasible = NoComm, false
+	}
+	iter, err := c.assemble(gi, di, cfg.K, v, c.sums[gi*c.nd+di])
+	if err != nil {
+		return Candidate{}, err
+	}
+	if cand.Prediction, err = c.p.finishPrediction(g, cfg, ds, pricing, iter); err != nil {
+		return Candidate{}, err
+	}
+	return cand, nil
 }
 
 // ForGraph returns a compiled predictor that covers g: the receiver
@@ -481,7 +482,8 @@ type CompiledStats struct {
 	// work every later prediction skips.
 	BuildEvals int
 	// TableBytes approximates the resident size of the flat tables
-	// (class times + kinds + comm + presence bits + reduction pairs).
+	// (class times + kinds + op sums + comm + presence bits + reduction
+	// pairs).
 	TableBytes int
 }
 
@@ -490,6 +492,7 @@ func (c *CompiledPredictor) Stats() CompiledStats {
 	const (
 		f64   = 8
 		pairB = 16 // graph.ClassCount{int, int}
+		sumB  = 56 // opSums{float64, 3 × int, []ops.Type}
 	)
 	return CompiledStats{
 		Graphs:     c.ng,
@@ -497,7 +500,7 @@ func (c *CompiledPredictor) Stats() CompiledStats {
 		Classes:    c.nc,
 		Pairs:      c.fold.Pairs(),
 		BuildEvals: c.buildEvals,
-		TableBytes: len(c.times)*f64 + len(c.kinds) + len(c.comm)*f64 + len(c.hasComm) + c.fold.Pairs()*pairB,
+		TableBytes: len(c.times)*f64 + len(c.kinds) + len(c.sums)*sumB + len(c.comm)*f64 + len(c.hasComm) + c.fold.Pairs()*pairB,
 	}
 }
 

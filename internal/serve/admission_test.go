@@ -210,7 +210,7 @@ func TestHotSwapHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp1 := s.box.Load()
+	comp1 := s.Tables()
 
 	queries := []struct{ path, q string }{
 		{"/v1/predict", "model=alexnet"},
@@ -268,5 +268,132 @@ func TestHotSwapHammer(t *testing.T) {
 		t.Error("swapper never ran")
 	} else {
 		t.Logf("hammer: %d generations", g)
+	}
+}
+
+// TestHotSwapHammerDistinctGenerations alternates Install between the
+// tables of two different predictors (seeds 1 and 2) while readers
+// hammer every hot response shape. Each body must equal, in full, the
+// reference body of one of the two generations — a request that read
+// one generation's tables and another's pre-rendered bytes matches
+// neither — and every generation a reader loads pairs its number with
+// its own tables.
+func TestHotSwapHammerDistinctGenerations(t *testing.T) {
+	var systems [2]*ceer.System
+	var comps [2]*ceer.CompiledSystem
+	for i, seed := range []uint64{1, 2} {
+		sys, err := ceer.Train(ceer.TrainOptions{Seed: seed, ProfileIterations: 30, CommIterations: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comps[i], err = sys.Compiled(32); err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = sys
+	}
+	queries := []struct{ path, q string }{
+		{"/v1/predict", "model=alexnet"},
+		{"/v1/predict", "model=inception-v3&pricing=market&samples=977"},
+		{"/v1/predict", "model=resnet-50&config=2xP3"},
+		{"/v1/recommend", "model=vgg-16&objective=cost"},
+		{"/v1/recommend", "model=resnet-152&objective=time&max_hourly_usd=10"},
+	}
+	var want [2][]string
+	for i := range systems {
+		ref, err := New(systems[i], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, qq := range queries {
+			status, body := ref.DoLocal(http.MethodGet, qq.path, qq.q)
+			if status != http.StatusOK {
+				t.Fatalf("reference %s?%s: status %d", qq.path, qq.q, status)
+			}
+			want[i] = append(want[i], string(body))
+		}
+	}
+	for j, qq := range queries {
+		if want[0][j] == want[1][j] {
+			t.Fatalf("%s?%s: both generations answer the same bytes; the hammer could not tell them apart", qq.path, qq.q)
+		}
+	}
+
+	s, err := New(systems[0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	swapperDone := make(chan struct{})
+	go func() {
+		defer close(swapperDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Install(comps[1])
+			s.Install(comps[0])
+		}
+	}()
+
+	const readers, rounds = 4, 60
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				if gen := s.cur.Load(); gen.comp != comps[gen.num%2] {
+					t.Errorf("reader %d: generation %d published with the other generation's tables", r, gen.num)
+					return
+				}
+				j := (r + n) % len(queries)
+				status, body := s.DoLocal(http.MethodGet, queries[j].path, queries[j].q)
+				if status != http.StatusOK {
+					t.Errorf("reader %d round %d: status %d", r, n, status)
+					return
+				}
+				if b := string(body); b != want[0][j] && b != want[1][j] {
+					t.Errorf("reader %d round %d: %s?%s matches neither generation:\n%s", r, n, queries[j].path, queries[j].q, body)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	<-swapperDone
+	t.Logf("hammer: %d generations", s.Generation())
+}
+
+// TestInstallNumbersSerially: concurrent Installs each publish a
+// distinct generation number, with none skipped.
+func TestInstallNumbersSerially(t *testing.T) {
+	s := newTestServer(t, Options{})
+	comp := s.Tables()
+	const workers, each = 4, 25
+	nums := make(chan uint64, workers*each) // one slot per Install
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				nums <- s.Install(comp)
+			}
+		}()
+	}
+	wg.Wait()
+	close(nums)
+	seen := make(map[uint64]bool)
+	for n := range nums {
+		if seen[n] {
+			t.Errorf("generation %d published twice", n)
+		}
+		seen[n] = true
+	}
+	if got := s.Generation(); got != workers*each || len(seen) != workers*each {
+		t.Errorf("after %d Installs: generation %d, %d distinct numbers", workers*each, got, len(seen))
 	}
 }

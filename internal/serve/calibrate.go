@@ -41,15 +41,15 @@ type CalibrationOptions struct {
 // calibLoop owns the daemon's calibrator. The calibrator is not
 // concurrency-safe — observations are one ordered stream — so every
 // mutation serializes on mu; served requests never touch it (they read
-// the atomic CompiledBox).
+// the published generation).
 //
-// Refits do not publish directly to the serving box: the calibrator is
-// bound to a private staging box, and each newly staged table goes
-// through the same golden probe as a file reload before Install. A
-// poisoned observation stream that drags a refit beyond tolerance is
-// rejected — the daemon keeps serving the last good generation while
-// the calibrator keeps accumulating (the journal preserves everything
-// for offline triage).
+// Refits do not publish directly to the serving generation: the
+// calibrator is bound to a private staging box, and each newly staged
+// table goes through the same golden probe as a file reload before
+// Install. A poisoned observation stream that drags a refit beyond
+// tolerance is rejected — the daemon keeps serving the last good
+// generation while the calibrator keeps accumulating (the journal
+// preserves everything for offline triage).
 type calibLoop struct {
 	mu      sync.Mutex
 	cal     *ceer.Calibrator
@@ -73,12 +73,8 @@ func (s *Server) initCalibration(sys *ceer.System, co *CalibrationOptions) error
 	if err != nil {
 		return fmt.Errorf("serve: calibration: %w", err)
 	}
-	graphs := make([]*ceer.Graph, len(s.models))
-	for i := range s.models {
-		graphs[i] = s.models[i].g
-	}
 	cl := &calibLoop{cal: cal}
-	if err := cal.BindBox(&cl.staging, graphs); err != nil {
+	if err := cal.BindBox(&cl.staging, s.graphs); err != nil {
 		return fmt.Errorf("serve: calibration: %w", err)
 	}
 	cl.lastStaged = cl.staging.Load()
@@ -128,7 +124,7 @@ func (s *Server) maybeInstallCalibrated() {
 		return
 	}
 	s.met.srv.calibSwaps.Add(1)
-	s.Install(cur)
+	s.install(cur)
 }
 
 // updateDriftGauge refreshes the drifted-cells gauge from the
@@ -232,7 +228,7 @@ func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 		Applied:    after.Applied - before.Applied,
 		Skipped:    skippedOf(after) - skippedOf(before),
 		Refits:     after.Refits - before.Refits,
-		Generation: s.gen.Load(),
+		Generation: s.Generation(),
 		Journaled:  cl.journal != nil,
 	}, nil
 }

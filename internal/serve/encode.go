@@ -46,81 +46,53 @@ func (s *Server) respondError(w http.ResponseWriter, ep, status int, msg string,
 	s.arena.put(sc)
 }
 
-// appendPredictionFields appends a PredictionJSON's fields (no braces),
-// in exact struct-tag order.
-func appendPredictionFields(b []byte, m *candMeta, p *ceer.Prediction) []byte {
-	b = appendKey(b, true, "config")
-	b = appendJSONString(b, m.config)
-	b = appendKey(b, false, "instance")
-	b = appendJSONString(b, m.instance)
-	b = appendKey(b, false, "gpu")
-	b = appendJSONString(b, m.gpu)
-	b = appendKey(b, false, "k")
-	b = appendJSONInt(b, int64(m.k))
-	b = appendKey(b, false, "hourly_usd")
-	b = appendJSONFloat(b, p.HourlyUSD)
-	b = appendKey(b, false, "iterations")
+// appendPrediction appends a PredictionJSON object without its closing
+// brace and without degraded (which a CandidateJSON places after score).
+// It copies the candidate's head for the request's pricing and the
+// generation's fragment f, and formats only the fields the query
+// changes: iterations, total_s and cost_usd.
+func appendPrediction(b []byte, m *candMeta, market bool, p *ceer.Prediction, f *fragment) []byte {
+	b = append(b, m.head[pricingIndex(market)]...)
 	b = appendJSONInt(b, p.Iterations)
-	b = appendKey(b, false, "heavy_s")
-	b = appendJSONFloat(b, p.Iter.HeavySeconds)
-	b = appendKey(b, false, "light_s")
-	b = appendJSONFloat(b, p.Iter.LightSeconds)
-	b = appendKey(b, false, "cpu_s")
-	b = appendJSONFloat(b, p.Iter.CPUSeconds)
-	b = appendKey(b, false, "comm_s")
-	b = appendJSONFloat(b, p.Iter.CommSeconds)
-	b = appendKey(b, false, "iter_s")
-	b = appendJSONFloat(b, p.Iter.PerIterSeconds)
-	b = appendKey(b, false, "total_s")
+	b = append(b, f.iter...)
 	b = appendJSONFloat(b, p.TotalSeconds)
-	b = appendKey(b, false, "cost_usd")
+	b = append(b, `,"cost_usd":`...)
 	b = appendJSONFloat(b, p.CostUSD)
-	if len(p.Iter.UnseenHeavy) > 0 {
-		b = appendKey(b, false, "unseen_heavy")
-		b = append(b, '[')
-		for i, t := range p.Iter.UnseenHeavy {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, string(t))
-		}
-		b = append(b, ']')
-	}
-	return b
+	return append(b, f.unseen...)
 }
 
 // appendCandidate appends a CandidateJSON object (prediction fields
 // inlined first, mirroring the embedded struct).
-func appendCandidate(b []byte, m *candMeta, c *ceer.Candidate) []byte {
-	b = append(b, '{')
-	b = appendPredictionFields(b, m, &c.Prediction)
-	b = appendKey(b, false, "feasible")
+func appendCandidate(b []byte, m *candMeta, market bool, c *ceer.Candidate, f *fragment) []byte {
+	b = appendPrediction(b, m, market, &c.Prediction, f)
+	b = append(b, `,"feasible":`...)
 	b = appendJSONBool(b, c.Feasible)
-	b = appendKey(b, false, "score")
+	b = append(b, `,"score":`...)
 	b = appendJSONFloat(b, c.Score)
-	if c.Degraded != "" {
-		b = appendKey(b, false, "degraded")
-		b = appendJSONString(b, c.Degraded)
-	}
+	b = append(b, f.degraded...)
 	return append(b, '}')
 }
 
-// tablesFor returns the tables and graph that answer the request: the
-// serving tables at the compiled batch size, or, at any other batch,
-// the requested graph compiled alone from the serving generation's
+// generationFor returns the generation that answers the request and
+// the slot of the requested graph in it: the serving generation at the
+// compiled batch size, or, at any other batch, a generation over the
+// requested graph compiled alone from the serving generation's
 // predictor (once per request, so it answers like a daemon compiled at
 // that batch).
-func (s *Server) tablesFor(q *query, me *modelEntry) (*ceer.CompiledSystem, *ceer.Graph, error) {
-	comp := s.box.Load()
+func (s *Server) generationFor(q *query, me *modelEntry) (*generation, int, error) {
+	gen := s.cur.Load()
 	if q.batch == s.batch {
-		return comp, me.g, nil
+		return gen, me.slot, nil
 	}
 	g, err := ceer.BuildModelCached(q.model, q.batch)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	comp, err = comp.ForGraph(g)
-	return comp, g, err
+	comp, err := gen.comp.ForGraph(g)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.newGeneration(comp, gen.num, []*ceer.Graph{g}), 0, nil
 }
 
 // renderPredict fills sc.buf with the /v1/predict document for the
@@ -136,10 +108,11 @@ func (s *Server) renderPredict(sc *scratch, me *modelEntry, cands []ceer.Instanc
 	if q.market {
 		pricing = ceer.MarketRatio
 	}
-	comp, g, err := s.tablesFor(q, me)
+	gen, slot, err := s.generationFor(q, me)
 	if err != nil {
 		return http.StatusBadRequest, err.Error()
 	}
+	g := gen.graphs[slot]
 
 	b := sc.buf[:0]
 	b = append(b, '{')
@@ -154,15 +127,22 @@ func (s *Server) renderPredict(sc *scratch, me *modelEntry, cands []ceer.Instanc
 	b = appendKey(b, false, "predictions")
 	b = append(b, '[')
 	for i := range cands {
-		p, err := comp.PredictTraining(g, cands[i], ds, pricing)
+		c, err := gen.comp.PredictCandidate(g, cands[i], ds, pricing)
+		if err == nil && q.config != "" && !c.Feasible {
+			// A sweep answers a degraded device without its comm model
+			// the way Recommend does; a named configuration still needs
+			// its full prediction, and the error says why it has none.
+			_, err = gen.comp.PredictTraining(g, cands[i], ds, pricing)
+		}
 		if err != nil {
 			return http.StatusBadRequest, err.Error()
 		}
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '{')
-		b = appendPredictionFields(b, &metas[i], &p)
+		f := &gen.frags[slot][metas[i].full]
+		b = appendPrediction(b, &metas[i], q.market, &c.Prediction, f)
+		b = append(b, f.degraded...)
 		b = append(b, '}')
 	}
 	b = append(b, ']', '}', '\n')
@@ -187,11 +167,11 @@ func (s *Server) renderRecommend(sc *scratch, me *modelEntry, cands []ceer.Insta
 	if q.objective == "time" {
 		obj = ceer.MinimizeTime
 	}
-	comp, g, err := s.tablesFor(q, me)
+	gen, slot, err := s.generationFor(q, me)
 	if err != nil {
 		return http.StatusBadRequest, err.Error()
 	}
-	if err := comp.RecommendInto(&sc.rec, g, ds, pricing, cands, obj, sc.constraints()...); err != nil {
+	if err := gen.comp.RecommendInto(&sc.rec, gen.graphs[slot], ds, pricing, cands, obj, sc.constraints()...); err != nil {
 		return http.StatusBadRequest, err.Error()
 	}
 
@@ -206,6 +186,7 @@ func (s *Server) renderRecommend(sc *scratch, me *modelEntry, cands []ceer.Insta
 	if bi < 0 {
 		return http.StatusInternalServerError, "recommendation lost its best candidate"
 	}
+	frags := gen.frags[slot]
 	b := sc.buf[:0]
 	b = append(b, '{')
 	b = appendKey(b, true, "cnn")
@@ -219,14 +200,14 @@ func (s *Server) renderRecommend(sc *scratch, me *modelEntry, cands []ceer.Insta
 	b = appendKey(b, false, "pricing")
 	b = appendJSONString(b, q.pricing)
 	b = appendKey(b, false, "best")
-	b = appendCandidate(b, &metas[bi], &rec.Best)
+	b = appendCandidate(b, &metas[bi], q.market, &rec.Best, &frags[metas[bi].full])
 	b = appendKey(b, false, "candidates")
 	b = append(b, '[')
 	for i := range rec.Candidates {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendCandidate(b, &metas[i], &rec.Candidates[i])
+		b = appendCandidate(b, &metas[i], q.market, &rec.Candidates[i], &frags[metas[i].full])
 	}
 	b = append(b, ']', '}', '\n')
 	sc.buf = b
@@ -243,7 +224,7 @@ func (s *Server) renderHealthz(sc *scratch, now int64) {
 	b = appendKey(b, true, "status")
 	b = appendJSONString(b, s.healthState(now))
 	b = appendKey(b, false, "generation")
-	b = appendJSONInt(b, int64(s.gen.Load()))
+	b = appendJSONInt(b, int64(s.Generation()))
 	b = appendKey(b, false, "models")
 	b = appendJSONInt(b, int64(len(s.models)))
 	b = appendKey(b, false, "devices")
@@ -296,8 +277,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 	if k == 0 {
 		k = 1
 	}
-	comp := s.box.Load()
-	ex, err := comp.ExplainIteration(me.g, ceer.GPUModel(q.gpu), k)
+	ex, err := s.Tables().ExplainIteration(me.g, ceer.GPUModel(q.gpu), k)
 	if err != nil {
 		s.respondError(w, epExplain, http.StatusBadRequest, err.Error(), start)
 		return
@@ -334,7 +314,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 func (s *Server) handleMetrics(w http.ResponseWriter, start int64) {
 	snap := MetricsSnapshot{
 		UptimeSeconds: float64(s.clock.Nanos()-s.startNs) / 1e9,
-		Generation:    s.gen.Load(),
+		Generation:    s.Generation(),
 		State:         s.healthState(start),
 		Draining:      s.draining.Load(),
 		Server:        s.met.srv.snapshot(),
@@ -359,7 +339,7 @@ func (s *Server) handleReload(w http.ResponseWriter, start int64) {
 		if errors.As(err, &re) {
 			s.replyJSON(w, epAdmin, http.StatusUnprocessableEntity, ReloadResponse{
 				Status:     "rejected",
-				Generation: s.gen.Load(),
+				Generation: s.Generation(),
 				Cause:      re.Cause,
 				Error:      re.Err.Error(),
 			}, start)

@@ -3,11 +3,13 @@ package serve
 // Append-based JSON encoding for the daemon's hot responses. The hot
 // path never touches encoding/json: every response is assembled by
 // appending into a pooled, capacity-stable scratch buffer, so a warm
-// request serializes with zero allocations. The encoding is, by
-// construction and by test (TestJSONEncoderEquivalence), byte-identical
-// to encoding/json over the response structs in response.go — cold
-// paths (/v1/explain, /metrics) and tests keep using encoding/json and
-// the two must never drift.
+// request serializes with zero allocations. The encoding is
+// byte-identical to encoding/json over the response structs in
+// response.go — pinned value by value by TestJSONEncoderEquivalence and
+// the FuzzAppendJSONFloat/FuzzAppendJSONString differential targets,
+// and document by document by the endpoint tests. Cold paths
+// (/v1/explain, /metrics) and tests keep using encoding/json and the
+// two must never drift.
 
 import (
 	"math"
@@ -16,8 +18,9 @@ import (
 )
 
 // appendJSONString appends s as a JSON string literal, matching
-// encoding/json's escaping (HTML-escaping included: <, >, & become
-// <, >, &).
+// encoding/json's escaping: HTML-escaping included (<, >, & become
+// \u003c, \u003e, \u0026), and each invalid UTF-8 byte becomes
+// \ufffd.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
@@ -32,6 +35,10 @@ func appendJSONString(b []byte, s string) []byte {
 			switch c {
 			case '\\', '"':
 				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
 			case '\n':
 				b = append(b, '\\', 'n')
 			case '\r':
@@ -48,7 +55,7 @@ func appendJSONString(b []byte, s string) []byte {
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if r == utf8.RuneError && size == 1 {
 			b = append(b, s[start:i]...)
-			b = append(b, `�`...)
+			b = append(b, `\ufffd`...)
 			i += size
 			start = i
 			continue

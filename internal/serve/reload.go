@@ -67,20 +67,22 @@ func (s *Server) reject(cause string, err error) (uint64, error) {
 
 // probe validates incoming tables against the outgoing ones over the
 // golden prediction set: every zoo model × every candidate
-// configuration at the serving batch. Each incoming prediction must be
-// finite, positive, and within Options.ReloadTolerance (relative) of
-// the outgoing table's value — a corrupt or stale-but-plausible model
-// file cannot silently replace a good generation. Callers hold
-// reloadMu.
+// configuration at the serving batch, each predicted as a full sweep
+// answers it (PredictCandidate, so a degraded device without a comm
+// model is probed without the comm term). Each incoming prediction
+// must be finite, positive, and within Options.ReloadTolerance
+// (relative) of the outgoing table's value — a corrupt or
+// stale-but-plausible model file cannot silently replace a good
+// generation. Callers hold reloadMu.
 func (s *Server) probe(next *ceer.CompiledSystem) error {
-	old := s.box.Load()
+	old := s.cur.Load().comp
 	cands := s.candsByK[s.maxK]
 	metas := s.metaByK[s.maxK]
 	ds := ceer.ImageNet
 	for mi := range s.models {
 		me := &s.models[mi]
 		for ci := range cands {
-			np, err := next.PredictTraining(me.g, cands[ci], ds, ceer.OnDemand)
+			np, err := next.PredictCandidate(me.g, cands[ci], ds, ceer.OnDemand)
 			if err != nil {
 				return fmt.Errorf("probe %s/%s: %w", me.name, metas[ci].config, err)
 			}
@@ -89,7 +91,7 @@ func (s *Server) probe(next *ceer.CompiledSystem) error {
 				return fmt.Errorf("probe %s/%s: non-finite or non-positive prediction (total_s=%v cost_usd=%v)",
 					me.name, metas[ci].config, np.TotalSeconds, np.CostUSD)
 			}
-			op, err := old.PredictTraining(me.g, cands[ci], ds, ceer.OnDemand)
+			op, err := old.PredictCandidate(me.g, cands[ci], ds, ceer.OnDemand)
 			if err != nil {
 				// The outgoing tables cannot score this cell; nothing
 				// to compare against.
@@ -145,5 +147,5 @@ func (s *Server) Reload() (uint64, error) {
 	}
 	s.met.srv.reloads.Add(1)
 	s.lastReloadCause.Store(nil)
-	return s.Install(comp), nil
+	return s.install(comp), nil
 }

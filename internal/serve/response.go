@@ -3,10 +3,10 @@ package serve
 // Response document shapes. The hot endpoints (/v1/predict,
 // /v1/recommend, /healthz) never instantiate these — their bodies are
 // assembled by the append encoder in encode.go — but the structs are
-// the normative schema: TestJSONEncoderEquivalence marshals them with
-// encoding/json and byte-compares against the append encoder, so any
-// drift between the two representations fails the suite. Cold endpoints
-// (/v1/explain, /metrics) marshal them directly.
+// the normative schema: TestResponsesMatchEncodingJSON marshals them
+// with encoding/json and byte-compares every hot body against them, so
+// any drift between the two representations fails the suite. Cold
+// endpoints (/v1/explain, /metrics) marshal them directly.
 
 // PredictionJSON is one configuration's prediction.
 type PredictionJSON struct {
@@ -34,6 +34,10 @@ type PredictionJSON struct {
 	// UnseenHeavy lists heavy op types predicted without a trained
 	// model (degraded prediction).
 	UnseenHeavy []string `json:"unseen_heavy,omitempty"`
+	// Degraded explains partial training coverage of the device. A
+	// sweep predicts a degraded device that lacks the communication
+	// model for k without the comm term, as Recommend does.
+	Degraded string `json:"degraded,omitempty"`
 }
 
 // PredictResponse is the /v1/predict document.
@@ -52,7 +56,9 @@ type CandidateJSON struct {
 	Feasible bool `json:"feasible"`
 	// Score is the objective value (meaningful only when feasible).
 	Score float64 `json:"score"`
-	// Degraded explains partial training coverage of the device.
+	// Degraded explains partial training coverage of the device. It
+	// shadows PredictionJSON.Degraded, so a candidate's degraded field
+	// follows score.
 	Degraded string `json:"degraded,omitempty"`
 }
 

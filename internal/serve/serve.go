@@ -3,15 +3,18 @@
 // JSON endpoints over the compiled serving tables (see DESIGN.md §13).
 //
 // The request hot path is allocation-free in steady state: requests
-// resolve through an atomic CompiledBox (lock-free reads), per-request
-// scratch comes from a typed sync.Pool arena, queries are parsed by
-// substring scanning (no net/url allocation), and responses are
-// serialized by the append encoder in jsonenc.go/encode.go. Admission
-// is a lock-free token bucket plus a queue-depth cap, both driven by an
+// load the serving generation through one atomic pointer (lock-free
+// reads), per-request scratch comes from a typed sync.Pool arena,
+// queries are parsed by substring scanning (no net/url allocation),
+// and responses are serialized by the append encoder in
+// jsonenc.go/encode.go, which copies the generation's pre-rendered
+// bytes and formats only what the query changes. Admission is a
+// lock-free token bucket plus a queue-depth cap, both driven by an
 // injectable Clock so shedding behaviour is deterministic under test.
-// Model hot-swap (SIGHUP, /admin/reload, or Calibrator.BindBox on
-// Server.Box) atomically replaces the compiled tables; in-flight
-// requests finish on the tables they loaded at entry.
+// Model hot-swap (SIGHUP, /admin/reload, or an accepted calibration
+// refit, each through Install after the golden probe) publishes a new
+// generation with one atomic store; in-flight requests finish on the
+// generation they loaded at entry.
 package serve
 
 import (
@@ -22,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,18 +95,29 @@ type Options struct {
 type modelEntry struct {
 	name string
 	g    *ceer.Graph
+	// slot is the entry's index in Server.models, which is its graph's
+	// slot in a zoo generation.
+	slot int
 }
 
-// candMeta precomputes every string the encoder needs for one candidate
-// configuration. Config.String, InstanceName, and ID.Family allocate or
-// take the registry lock, so they run once at construction, never per
-// request.
+// candMeta precomputes what the encoder and resolvers need for one
+// candidate configuration. Config.String, InstanceName, ID.Family and
+// HourlyCost allocate or take the registry lock, so they run once at
+// construction, never per request.
 type candMeta struct {
-	config   string // "2xP3"
-	instance string // "p3.8xlarge"
-	gpu      string // "v100"
-	family   string // "P3"
-	k        int
+	config string // "2xP3"
+	gpu    string // "v100"
+	family string // "P3"
+	k      int
+	// full is the candidate's index in the full candidate set, where a
+	// generation keeps its fragments.
+	full int
+	// head is the prediction object from its opening brace through
+	// `"iterations":` under each pricing scheme (see pricingIndex):
+	// config, instance, gpu, k and hourly_usd are fixed once the server
+	// is built. A scheme without a price for the candidate leaves it
+	// nil; every request for it fails before encoding.
+	head [2][]byte
 }
 
 // Server is the daemon. Create with New, expose via Handler or Serve,
@@ -114,13 +129,17 @@ type Server struct {
 	clock  Clock
 	budget int64 // RequestTimeout in nanos (0 = none)
 
-	// box holds the compiled serving tables; swaps go through Store via
-	// Reload/Install (or a Calibrator bound to Box()). Every answer,
-	// at any batch size, comes from the tables it holds.
-	box ceer.CompiledBox
-	gen atomic.Uint64
+	// cur is the serving generation: the compiled tables, their number
+	// and their pre-rendered response bytes, published together by New
+	// and Install (Reload, SIGHUP and accepted calibration refits all
+	// go through Install after the golden probe). Every answer, at any
+	// batch size, comes from the generation a request loaded once.
+	cur atomic.Pointer[generation]
 
 	models []modelEntry
+	// graphs lists the zoo graphs in models order: the graph set of the
+	// serving tables and of every zoo generation.
+	graphs []*ceer.Graph
 	// candsByK[k] / metaByK[k] list every candidate configuration with
 	// 1..k GPUs per family (cloud.Configs order), k = 1..maxK.
 	candsByK [][]ceer.InstanceConfig
@@ -142,6 +161,8 @@ type Server struct {
 	// calib is the in-daemon calibration loop (nil when disabled).
 	calib *calibLoop
 
+	// reloadMu serializes swaps (load, probe, numbering and
+	// publication) and guards httpSrv.
 	reloadMu sync.Mutex
 	httpSrv  *http.Server
 	startNs  int64
@@ -180,35 +201,32 @@ func New(sys *ceer.System, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling zoo tables: %w", err)
 	}
-	s.box.Store(comp)
 
 	names := ceer.Models()
 	s.models = make([]modelEntry, 0, len(names))
-	for _, name := range names {
+	s.graphs = make([]*ceer.Graph, 0, len(names))
+	for i, name := range names {
 		g, err := ceer.BuildModelCached(name, s.batch)
 		if err != nil {
 			return nil, fmt.Errorf("serve: building %s: %w", name, err)
 		}
-		s.models = append(s.models, modelEntry{name: name, g: g})
+		s.models = append(s.models, modelEntry{name: name, g: g, slot: i})
+		s.graphs = append(s.graphs, g)
 	}
 
 	s.candsByK = make([][]ceer.InstanceConfig, s.maxK+1)
 	s.metaByK = make([][]candMeta, s.maxK+1)
+	full := ceer.AllConfigs(s.maxK)
 	for k := 1; k <= s.maxK; k++ {
 		cands := ceer.AllConfigs(k)
 		metas := make([]candMeta, len(cands))
 		for i, cfg := range cands {
-			metas[i] = candMeta{
-				config:   cfg.String(),
-				instance: cfg.InstanceName(),
-				gpu:      string(cfg.GPU),
-				family:   cfg.GPU.Family(),
-				k:        cfg.K,
-			}
+			metas[i] = newCandMeta(cfg, slices.Index(full, cfg))
 		}
 		s.candsByK[k] = cands
 		s.metaByK[k] = metas
 	}
+	s.cur.Store(s.newGeneration(comp, 0, s.graphs))
 
 	s.arena = newArena()
 	if opts.RatePerSec > 0 {
@@ -255,21 +273,32 @@ func New(sys *ceer.System, opts Options) (*Server, error) {
 // Handler returns the daemon's http.Handler (the Server itself).
 func (s *Server) Handler() http.Handler { return s }
 
-// Generation returns the model generation: 0 at start, +1 per
+// Generation returns the serving model generation: 0 at start, +1 per
 // successful Reload/Install.
-func (s *Server) Generation() uint64 { return s.gen.Load() }
+func (s *Server) Generation() uint64 { return s.cur.Load().num }
 
-// Box exposes the server's hot-swap point so a calibration loop can
-// publish recalibrated tables directly (Calibrator.BindBox(s.Box(),
-// graphs)); requests pick up the new tables on their next Load.
-func (s *Server) Box() *ceer.CompiledBox { return &s.box }
+// Tables returns the serving generation's compiled tables. They are
+// immutable; replace them through Install or Reload.
+func (s *Server) Tables() *ceer.CompiledSystem { return s.cur.Load().comp }
 
-// Install atomically publishes pre-compiled tables (programmatic
-// hot-swap; Reload is the file-based form). In-flight requests finish
-// on the tables they already loaded.
+// Install publishes pre-compiled tables as the next generation
+// (programmatic hot-swap; Reload is the file-based form). It renders
+// the generation's response bytes, numbers it one past the serving
+// generation and publishes tables, number and bytes with one atomic
+// store, so no request or /healthz pairs one generation's tables with
+// another's bytes or number. Concurrent Installs serialize. In-flight
+// requests finish on the generation they already loaded.
 func (s *Server) Install(comp *ceer.CompiledSystem) uint64 {
-	s.box.Store(comp)
-	return s.gen.Add(1)
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	return s.install(comp)
+}
+
+// install is Install for callers holding reloadMu.
+func (s *Server) install(comp *ceer.CompiledSystem) uint64 {
+	next := s.newGeneration(comp, s.cur.Load().num+1, s.graphs)
+	s.cur.Store(next)
+	return next.num
 }
 
 // Serve accepts connections on ln until Shutdown. It returns

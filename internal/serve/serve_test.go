@@ -377,7 +377,7 @@ func TestNonDefaultBatchFollowsSwap(t *testing.T) {
 	}
 
 	var saved bytes.Buffer
-	if err := s.Box().Load().Predictor().Save(&saved); err != nil {
+	if err := s.Tables().Predictor().Save(&saved); err != nil {
 		t.Fatal(err)
 	}
 	calibrated, err := ceer.Load(&saved)

@@ -6,7 +6,8 @@
 # regression or any allocs/op increase).
 #
 # Environment overrides:
-#   BENCH_COUNT     repetitions per bench (default 3; smoke runs use 1)
+#   BENCH_COUNT     repetitions per bench (default 3; the check.sh gate
+#                   uses 6)
 #   BENCH_TIME      -benchtime value (default 100x; e.g. 2s, 500x)
 #   BENCH_PKG       package to benchmark (default .; the serve daemon
 #                   suite uses ./internal/serve)
@@ -35,19 +36,30 @@ raw=$(go test -run '^$' \
     -benchmem -count "${COUNT}" -benchtime "${TIME}" "${PKG}" | tee /dev/stderr)
 
 # Fold the repeated runs into one JSON document: ns/op and custom
-# metrics are averaged across -count repetitions, B/op and allocs/op
+# metrics are the median of the -count repetitions (one slow run on a
+# shared 2-core runner moves a mean, not a median), B/op and allocs/op
 # taken verbatim from the last run (they are deterministic).
 echo "${raw}" | awk -v out="${OUT}" '
+function add(key, v) { vals[key, ++cnt[key]] = v + 0 }
+function median(key,    n, i, j, v, a) {
+    n = cnt[key]
+    for (i = 1; i <= n; i++) {         # insertion sort; n is small
+        v = vals[key, i]
+        for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]
+        a[j + 1] = v
+    }
+    return (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+}
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)          # strip the GOMAXPROCS suffix
-    ns[name] += $3; runs[name]++
+    add(name, $3)
     # Fields: name iters ns "ns/op" [value unit]...
     for (i = 5; i < NF; i += 2) {
         v = $i; unit = $(i + 1)
         if (unit == "B/op")           { bop[name] = v }
         else if (unit == "allocs/op") { aop[name] = v }
-        else { metric[name "|" unit] += v; mruns[name "|" unit]++ }
+        else { metric[name "|" unit] = 1; add(name "|" unit, v) }
     }
     if (!(name in order)) { order[name] = ++n; names[n] = name }
 }
@@ -56,7 +68,7 @@ END {
     for (j = 1; j <= n; j++) {
         name = names[j]
         printf "  \"%s\": {\n", name >> out
-        printf "    \"ns_per_op\": %.1f,\n", ns[name] / runs[name] >> out
+        printf "    \"ns_per_op\": %.1f,\n", median(name) >> out
         printf "    \"bytes_per_op\": %d,\n", bop[name] >> out
         printf "    \"allocs_per_op\": %d", aop[name] >> out
         for (key in metric) {
@@ -64,7 +76,7 @@ END {
             if (kv[1] == name) {
                 m = kv[2]
                 gsub(/[^A-Za-z0-9._-]/, "_", m)
-                printf ",\n    \"%s\": %.4f", m, metric[key] / mruns[key] >> out
+                printf ",\n    \"%s\": %.4f", m, median(key) >> out
             }
         }
         printf "\n  }%s\n", (j < n ? "," : "") >> out

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1+ verification gate (see README "Verification"): formatting,
 # vet, build, the full test suite, a race-detector pass over the whole
-# module, the ceer-lint static-analysis suite, the escape-analysis
-# cross-check, the calibration golden gate, the chaos determinism
-# gate, the experiments determinism gate, and a bench smoke run.
+# module, a short differential fuzz of the JSON encoder, the ceer-lint
+# static-analysis suite, the escape-analysis cross-check, the
+# calibration golden gate, the chaos determinism gate, the experiments
+# determinism gate, and a bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,15 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== fuzz: append JSON encoder vs encoding/json"
+# Differential fuzzing of the daemon's float and string encoders
+# against encoding/json (internal/serve/jsonenc_test.go), a fixed short
+# time per target. The committed seed corpora under
+# internal/serve/testdata/fuzz also run in the plain test step.
+for target in FuzzAppendJSONFloat FuzzAppendJSONString; do
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s ./internal/serve >/dev/null
+done
 
 echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
@@ -89,11 +99,10 @@ if [[ "${CEER_SKIP_CHAOS_SERVE:-}" != "1" ]]; then
 fi
 
 echo "== serving-path bench regression gate"
-# A moderate-depth bench run (enough iterations to average out timer
-# noise) written to a scratch file and gated against the committed
-# BENCH_predict.json: >20% ns/op or any allocs/op regression fails
-# (see scripts/bench.sh).
-BENCH_COUNT=2 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >/dev/null
+# A moderate-depth bench run written to a scratch file and gated on the
+# median of 6 repetitions against the committed BENCH_predict.json:
+# >20% ns/op or any allocs/op regression fails (see scripts/bench.sh).
+BENCH_COUNT=6 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >/dev/null
 
 echo "== serve daemon bench regression gate"
 # The daemon's hot-path benches gated against the committed
@@ -101,7 +110,7 @@ echo "== serve daemon bench regression gate"
 # (the loadgen benches measure wall-clock percentiles and are recorded,
 # not gated, by `make bench-serve`). Any allocs/op above the committed
 # baseline of 0 fails — the zero-allocation contract of DESIGN.md §13.
-BENCH_COUNT=2 BENCH_TIME=500x BENCH_PKG=./internal/serve \
+BENCH_COUNT=6 BENCH_TIME=500x BENCH_PKG=./internal/serve \
     BENCH_REGEX='ServePredict$|ServeRecommend$|ServeEncodePredict$' \
     BENCH_BASELINE=BENCH_serve.json BENCH_OUT="$(mktemp)" \
     ./scripts/bench.sh >/dev/null
