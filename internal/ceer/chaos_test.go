@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,13 +388,17 @@ func TestCheckpointCorruption(t *testing.T) {
 // table (internal/trace/corrupt) through the checkpoint reader: the
 // same mutations the observation-log reader pins, with the same
 // verdicts — a torn final line resumes from the intact prefix, damage
-// anywhere else rejects the journal.
+// anywhere else rejects the journal. A tolerated journal must also
+// survive a second resume (the first one appends after whatever the
+// crash left), and both resumes must measure exactly what a clean run
+// measured.
 func TestCheckpointCorruptionShared(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "campaign.ckpt")
 	pl := chaosPolicy(11, 0)
 	pl.CheckpointPath = ckpt
-	if _, err := pl.Campaign(context.Background(), zoo.Build, campaignNames[:1]); err != nil {
+	clean, err := pl.Campaign(context.Background(), zoo.Build, campaignNames[:1])
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(ckpt)
@@ -418,11 +423,49 @@ func TestCheckpointCorruptionShared(t *testing.T) {
 			if res.Coverage.Resumed == 0 {
 				t.Errorf("%s: the intact prefix should still restore cells", tc.Name)
 			}
+			again, err := run.Campaign(context.Background(), zoo.Build, campaignNames[:1])
+			if err != nil {
+				t.Errorf("%s: second resume: %v", tc.Name, err)
+				continue
+			}
+			for i, r := range []*CampaignResult{res, again} {
+				if !reflect.DeepEqual(r.Bundle, clean.Bundle) || !reflect.DeepEqual(r.CommObs, clean.CommObs) {
+					t.Errorf("%s: resume %d measured differently from a clean run", tc.Name, i+1)
+				}
+			}
 		case corrupt.WantErr:
 			if err == nil {
 				t.Errorf("%s: corruption must reject the journal", tc.Name)
 			}
 		}
+	}
+}
+
+// TestCheckpointLongRecord: the checkpoint is a file this program
+// wrote, so its reader sets no line cap — a default campaign writes
+// profile records over 5 MB. A record longer than the observation
+// streams' 4 MiB cap must replay.
+func TestCheckpointLongRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	pl := chaosPolicy(11, 0)
+	cp, _, err := openCheckpoint(path, pl.checkpointHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("k", 5<<20)
+	cp.noteAttempt(key, 2)
+	if err := cp.close(); err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err = openCheckpoint(path, pl.checkpointHeader())
+	if err != nil {
+		t.Fatalf("a checkpoint record over 4 MiB must replay: %v", err)
+	}
+	if got := cp.consumed(key); got != 2 {
+		t.Errorf("replayed attempt count %d, want 2", got)
+	}
+	if err := cp.close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

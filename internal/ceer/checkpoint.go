@@ -1,7 +1,8 @@
-// Campaign checkpointing: an append-only JSONL journal of completed
-// cells and consumed attempts. A campaign aborted by preemption (or a
-// crash) re-opens the journal, skips every completed cell, and resumes
-// interrupted cells at the attempt after their last consumed one.
+// Campaign checkpointing: an append-only JSONL journal (internal/jsonl)
+// of completed cells and consumed attempts. A campaign aborted by
+// preemption (or a crash) re-opens the journal, skips every completed
+// cell, and resumes interrupted cells at the attempt after their last
+// consumed one.
 // Profiles round-trip through the exact trace state codec, so a
 // resumed campaign produces the very bytes an uninterrupted run would
 // have.
@@ -9,15 +10,14 @@
 package ceer
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"ceer/internal/gpu"
+	"ceer/internal/jsonl"
 	"ceer/internal/trace"
 )
 
@@ -54,17 +54,8 @@ type checkpointRecord struct {
 	Header   *checkpointHeader `json:"header,omitempty"`
 	Cell     string            `json:"cell,omitempty"`
 	Profile  json.RawMessage   `json:"profile,omitempty"`
-	Comm     *commObsJSON      `json:"comm,omitempty"`
+	Comm     *CommObs          `json:"comm,omitempty"`
 	Attempts int               `json:"attempts,omitempty"`
-}
-
-// commObsJSON is the journal form of a CommObs.
-type commObsJSON struct {
-	CNN      string  `json:"cnn"`
-	GPU      string  `json:"gpu"`
-	K        int     `json:"k"`
-	Params   int64   `json:"params"`
-	Overhead float64 `json:"overhead"`
 }
 
 // counter is a race-free failed-attempt tally.
@@ -74,122 +65,100 @@ func (c *counter) add(d int)  { c.n.Add(int64(d)) }
 func (c *counter) value() int { return int(c.n.Load()) }
 
 // checkpoint is the live journal: in-memory maps of everything loaded
-// or recorded, plus the append-side file. All methods are safe for
+// or recorded, plus the append-side writer. All methods are safe for
 // concurrent use by campaign workers, and read-side methods tolerate a
 // nil receiver (no checkpoint configured).
 type checkpoint struct {
 	mu       sync.Mutex
-	f        *os.File
-	enc      *json.Encoder
+	w        *jsonl.Writer
 	profiles map[string]*trace.Profile
 	comms    map[string]CommObs
 	attempts map[string]int
 }
 
-// openCheckpoint loads the journal at path (if any), validates its
-// header against the campaign's, and opens it for appending. It
-// returns the checkpoint and the number of completed cells restored.
+// openCheckpoint replays the journal at path (if any) through the
+// jsonl codec, validates its header against the campaign's, and opens
+// it for appending. It returns the checkpoint and the number of
+// completed cells restored.
 func openCheckpoint(path string, h checkpointHeader) (*checkpoint, int, error) {
 	cp := &checkpoint{
 		profiles: make(map[string]*trace.Profile),
 		comms:    make(map[string]CommObs),
 		attempts: make(map[string]int),
 	}
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("ceer: reading checkpoint %s: %w", path, err)
-	}
-	if len(bytes.TrimSpace(data)) > 0 {
-		if err := cp.load(path, data, h); err != nil {
-			return nil, 0, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := jsonl.Open(path, false, cp.replay(h))
 	if err != nil {
-		return nil, 0, fmt.Errorf("ceer: opening checkpoint %s: %w", path, err)
+		return nil, 0, fmt.Errorf("ceer: checkpoint %s: %w", path, err)
 	}
-	cp.f = f
-	cp.enc = json.NewEncoder(f)
-	if len(bytes.TrimSpace(data)) == 0 {
+	cp.w = w
+	if w.Replayed == 0 {
 		if err := cp.append(checkpointRecord{Type: "header", Header: &h}); err != nil {
 			// The header write error is the one to surface; the close
 			// cannot lose buffered data (nothing was written).
-			_ = f.Close()
+			_ = w.Close()
 			return nil, 0, err
 		}
 	}
 	return cp, len(cp.profiles) + len(cp.comms), nil
 }
 
-// load replays an existing journal. A torn final line — the footprint
-// of a process killed mid-write — is ignored; corruption anywhere else
-// is an error.
-func (c *checkpoint) load(path string, data []byte, want checkpointHeader) error {
-	lines := bytes.Split(data, []byte("\n"))
+// replay returns the journal's record callback: the first record must
+// be a header matching want, and the rest restore completed cells and
+// consumed attempts.
+func (c *checkpoint) replay(want checkpointHeader) func(line []byte) error {
 	sawHeader := false
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	return func(line []byte) error {
 		var rec checkpointRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == len(lines)-1 {
-				return nil // torn tail from an interrupted append
-			}
-			return fmt.Errorf("ceer: checkpoint %s line %d: %w", path, i+1, err)
+		if err := jsonl.Decode(line, &rec); err != nil {
+			return err
 		}
 		if !sawHeader {
 			if rec.Type != "header" || rec.Header == nil {
-				return fmt.Errorf("ceer: checkpoint %s does not start with a header record", path)
+				return errors.New("journal does not start with a header record")
 			}
 			if *rec.Header != want {
-				return fmt.Errorf("ceer: checkpoint %s was written by a different campaign configuration (have %+v, want %+v)",
-					path, *rec.Header, want)
+				return fmt.Errorf("written by a different campaign configuration (have %+v, want %+v)",
+					*rec.Header, want)
 			}
 			sawHeader = true
-			continue
+			return nil
 		}
 		switch rec.Type {
 		case "profile":
 			p, err := trace.UnmarshalState(rec.Profile)
 			if err != nil {
-				return fmt.Errorf("ceer: checkpoint %s line %d: %w", path, i+1, err)
+				return err
 			}
 			c.profiles[rec.Cell] = p
 		case "comm":
 			if rec.Comm == nil {
-				return fmt.Errorf("ceer: checkpoint %s line %d: comm record without payload", path, i+1)
+				return errors.New("comm record without payload")
 			}
-			m := gpu.ID(rec.Comm.GPU)
-			if _, ok := gpu.Lookup(m); !ok {
-				return fmt.Errorf("ceer: checkpoint %s line %d: unregistered device %q", path, i+1, rec.Comm.GPU)
+			if _, ok := gpu.Lookup(rec.Comm.GPU); !ok {
+				return fmt.Errorf("unregistered device %q", rec.Comm.GPU)
 			}
-			c.comms[rec.Cell] = CommObs{
-				CNN:      rec.Comm.CNN,
-				GPU:      m,
-				K:        rec.Comm.K,
-				Params:   rec.Comm.Params,
-				Overhead: rec.Comm.Overhead,
-			}
+			c.comms[rec.Cell] = *rec.Comm
 		case "attempt":
 			if rec.Attempts > c.attempts[rec.Cell] {
 				c.attempts[rec.Cell] = rec.Attempts
 			}
 		case "header":
-			return fmt.Errorf("ceer: checkpoint %s line %d: duplicate header record", path, i+1)
+			return errors.New("duplicate header record")
 		default:
-			return fmt.Errorf("ceer: checkpoint %s line %d: unknown record type %q", path, i+1, rec.Type)
+			return fmt.Errorf("unknown record type %q", rec.Type)
 		}
+		return nil
 	}
-	return nil
 }
 
-// append journals one record. json.Encoder writes straight to the
-// file, so a record is durable as soon as append returns.
+// append journals one record. The codec hands each record to the file
+// in one write, so once append returns the record survives a process
+// crash. The checkpoint does not fsync: a machine crash may lose the
+// tail, and a resume then re-measures those cells.
 func (c *checkpoint) append(rec checkpointRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(rec); err != nil {
+	if err := c.w.Append(rec); err != nil {
 		return fmt.Errorf("ceer: writing checkpoint: %w", err)
 	}
 	return nil
@@ -260,21 +229,15 @@ func (c *checkpoint) recordComm(key string, o CommObs) error {
 	c.mu.Lock()
 	c.comms[key] = o
 	c.mu.Unlock()
-	return c.append(checkpointRecord{Type: "comm", Cell: key, Comm: &commObsJSON{
-		CNN:      o.CNN,
-		GPU:      string(o.GPU),
-		K:        o.K,
-		Params:   o.Params,
-		Overhead: o.Overhead,
-	}})
+	return c.append(checkpointRecord{Type: "comm", Cell: key, Comm: &o})
 }
 
 // close releases the journal file.
 func (c *checkpoint) close() error {
-	if c == nil || c.f == nil {
+	if c == nil || c.w == nil {
 		return nil
 	}
-	if err := c.f.Close(); err != nil {
+	if err := c.w.Close(); err != nil {
 		return fmt.Errorf("ceer: closing checkpoint: %w", err)
 	}
 	return nil

@@ -43,13 +43,14 @@ type CommModel struct {
 
 // CommObs is one observed communication overhead: the measured
 // per-iteration training time minus the summed op compute time, for one
-// training-set CNN on one (GPU, k) configuration (Section IV-C).
+// training-set CNN on one (GPU, k) configuration (Section IV-C). The
+// JSON form is the campaign checkpoint's comm record.
 type CommObs struct {
-	CNN      string
-	GPU      gpu.ID
-	K        int
-	Params   int64
-	Overhead float64 // seconds per iteration
+	CNN      string  `json:"cnn"`
+	GPU      gpu.ID  `json:"gpu"`
+	K        int     `json:"k"`
+	Params   int64   `json:"params"`
+	Overhead float64 `json:"overhead"` // seconds per iteration
 }
 
 // Predictor is a trained Ceer instance. Predictions are read from its

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"ceer"
+	"ceer/internal/jsonl"
 	"ceer/internal/trace"
 )
 
@@ -38,6 +38,18 @@ type CalibrationOptions struct {
 	Fsync string
 }
 
+// Fsync policies for the observation journal.
+const (
+	// FsyncAlways fsyncs after every appended observation: a kill -9
+	// at any instant loses at most the torn final line — and that
+	// observation was never acknowledged, so replay is exact.
+	FsyncAlways = "always"
+	// FsyncNever leaves flushing to the OS: faster ingestion, and a
+	// hard crash may lose the tail of *acknowledged* observations
+	// (replay still recovers a consistent prefix).
+	FsyncNever = "never"
+)
+
 // calibLoop owns the daemon's calibrator. The calibrator is not
 // concurrency-safe — observations are one ordered stream — so every
 // mutation serializes on mu; served requests never touch it (they read
@@ -53,7 +65,7 @@ type CalibrationOptions struct {
 type calibLoop struct {
 	mu      sync.Mutex
 	cal     *ceer.Calibrator
-	journal *obsJournal
+	journal *jsonl.Writer
 
 	staging ceer.CompiledBox
 	// lastStaged is the most recently probed staging table (accepted
@@ -81,12 +93,23 @@ func (s *Server) initCalibration(sys *ceer.System, co *CalibrationOptions) error
 	s.calib = cl
 
 	if co.JournalPath != "" {
-		j, err := openObsJournal(co.JournalPath, co.Fsync, cal.Calibrate)
+		switch co.Fsync {
+		case "", FsyncAlways, FsyncNever:
+		default:
+			return fmt.Errorf("serve: unknown fsync policy %q (want %q or %q)", co.Fsync, FsyncAlways, FsyncNever)
+		}
+		j, err := jsonl.Open(co.JournalPath, co.Fsync != FsyncNever, func(line []byte) error {
+			o, err := trace.DecodeObs(line)
+			if err != nil {
+				return err
+			}
+			return cal.Calibrate(o)
+		})
 		if err != nil {
-			return err
+			return fmt.Errorf("serve: replaying observation journal %s: %w", co.JournalPath, err)
 		}
 		cl.journal = j
-		s.met.srv.calibObs.Add(uint64(j.replayed))
+		s.met.srv.calibObs.Add(uint64(j.Replayed))
 		// Replayed refits staged new tables; validate and install them
 		// exactly as the live loop would have.
 		s.maybeInstallCalibrated()
@@ -102,7 +125,7 @@ func (s *Server) JournalReplayed() (obs, tornLine int) {
 	if s.calib == nil || s.calib.journal == nil {
 		return 0, 0
 	}
-	return s.calib.journal.replayed, s.calib.journal.tornLine
+	return s.calib.journal.Replayed, s.calib.journal.Torn
 }
 
 // maybeInstallCalibrated publishes a newly staged calibration table —
@@ -195,14 +218,7 @@ func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 			ingestErr = err
 			break
 		}
-		if cl.journal != nil {
-			if jerr := cl.journal.append(o); jerr != nil {
-				ingestErr = jerr
-				break
-			}
-		}
-		if cerr := cl.cal.Calibrate(o); cerr != nil {
-			ingestErr = cerr
+		if ingestErr = cl.apply(o); ingestErr != nil {
 			break
 		}
 		accepted++
@@ -231,6 +247,17 @@ func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 		Generation: s.Generation(),
 		Journaled:  cl.journal != nil,
 	}, nil
+}
+
+// apply journals o, then folds it into the calibrator: write-ahead, so
+// the journal never trails the in-memory state. Callers hold cl.mu.
+func (cl *calibLoop) apply(o trace.Obs) error {
+	if cl.journal != nil {
+		if err := cl.journal.Append(o); err != nil {
+			return fmt.Errorf("serve: journaling observation: %w", err)
+		}
+	}
+	return cl.cal.Calibrate(o)
 }
 
 // skippedOf sums a report's skip counters.
@@ -266,12 +293,11 @@ func (s *Server) TailObsLog(ctx context.Context, path string, interval time.Dura
 		interval = 200 * time.Millisecond
 	}
 	var off int64
-	var partial []byte
 	for {
 		if ctx.Err() != nil || s.draining.Load() {
 			return nil
 		}
-		if err := s.tailChunk(path, &off, &partial); err != nil {
+		if err := s.tailChunk(path, &off); err != nil {
 			return err
 		}
 		time.Sleep(interval)
@@ -279,8 +305,9 @@ func (s *Server) TailObsLog(ctx context.Context, path string, interval time.Dura
 }
 
 // tailChunk reads whatever the log grew since the last poll and applies
-// every complete line. Truncation (rotation) restarts from offset 0.
-func (s *Server) tailChunk(path string, off *int64, partial *[]byte) error {
+// every complete line; an unterminated final line is read again at the
+// next poll. Truncation (rotation) restarts from offset 0.
+func (s *Server) tailChunk(path string, off *int64) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil // not created yet; keep polling
@@ -296,7 +323,6 @@ func (s *Server) tailChunk(path string, off *int64, partial *[]byte) error {
 	}
 	if st.Size() < *off {
 		*off = 0 // rotated/truncated: start over
-		*partial = (*partial)[:0]
 	}
 	if st.Size() == *off {
 		return nil
@@ -308,35 +334,21 @@ func (s *Server) tailChunk(path string, off *int64, partial *[]byte) error {
 	if err != nil {
 		return err
 	}
+	grown = grown[:bytes.LastIndexByte(grown, '\n')+1]
 	*off += int64(len(grown))
-	buf := append(*partial, grown...)
-	for {
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			break
+	for _, line := range bytes.Split(grown, []byte("\n")) {
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			s.tailApply(line)
 		}
-		line := bytes.TrimSpace(buf[:nl])
-		buf = buf[nl+1:]
-		if len(line) == 0 {
-			continue
-		}
-		s.tailApply(line)
 	}
-	*partial = append((*partial)[:0], buf...)
 	return nil
 }
 
 // tailApply parses and applies one complete tailed line, dropping (and
 // counting) malformed or shed observations.
 func (s *Server) tailApply(line []byte) {
-	var o trace.Obs
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&o); err != nil {
-		s.met.srv.calibDropped.Add(1)
-		return
-	}
-	if err := o.Validate(); err != nil {
+	o, err := trace.DecodeObs(line)
+	if err != nil {
 		s.met.srv.calibDropped.Add(1)
 		return
 	}
@@ -344,17 +356,10 @@ func (s *Server) tailApply(line []byte) {
 		s.met.srv.calibShed.Add(1)
 		return
 	}
-	cl := s.calib
-	cl.mu.Lock()
-	var applyErr error
-	if cl.journal != nil {
-		applyErr = cl.journal.append(o)
-	}
-	if applyErr == nil {
-		applyErr = cl.cal.Calibrate(o)
-	}
-	cl.mu.Unlock()
-	if applyErr != nil {
+	s.calib.mu.Lock()
+	err = s.calib.apply(o)
+	s.calib.mu.Unlock()
+	if err != nil {
 		s.met.srv.calibDropped.Add(1)
 		return
 	}
@@ -367,7 +372,7 @@ func (cl *calibLoop) close() {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.journal != nil {
-		if err := cl.journal.close(); err != nil {
+		if err := cl.journal.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "ceer serve: closing observation journal: %v\n", err)
 		}
 		cl.journal = nil

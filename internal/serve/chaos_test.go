@@ -162,6 +162,55 @@ func TestJournalTornTailTrimmedOnBoot(t *testing.T) {
 	}
 }
 
+// TestJournalUnterminatedRecordKeepsNextAppend: a crash after a
+// record's bytes but before its newline leaves a whole, unterminated
+// final record. Boot must replay it and restore the newline, so the
+// next acknowledged observation lands on a line of its own and the
+// reboot after a crash replays every record to the same state.
+func TestJournalUnterminatedRecordKeepsNextAppend(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "obs.jsonl")
+	lines := testObsLines(t, 4)
+	if err := os.WriteFile(journal, bytes.Join(lines[:3], []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s1 := newTestServer(t, Options{Calibration: &CalibrationOptions{JournalPath: journal}})
+	if replayed, torn := s1.JournalReplayed(); replayed != 3 || torn != 0 {
+		t.Fatalf("JournalReplayed = (%d, %d), want (3, 0)", replayed, torn)
+	}
+	postObserve(t, s1, obsBody(lines[3:4]), http.StatusOK)
+	var before bytes.Buffer
+	if err := s1.SaveCalibrated(&before); err != nil {
+		t.Fatal(err)
+	}
+	// No close: the crash.
+
+	s2 := newTestServer(t, Options{Calibration: &CalibrationOptions{JournalPath: journal}})
+	if replayed, torn := s2.JournalReplayed(); replayed != 4 || torn != 0 {
+		t.Fatalf("reboot JournalReplayed = (%d, %d), want (4, 0)", replayed, torn)
+	}
+	var after bytes.Buffer
+	if err := s2.SaveCalibrated(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("replayed predictor state differs from the pre-crash state")
+	}
+}
+
+// TestObserveLineCap: the 4 MiB line cap is the only bound on a POST
+// /v1/observe line, so a longer line is a 400 that names it, even when
+// it holds a valid observation.
+func TestObserveLineCap(t *testing.T) {
+	s := newTestServer(t, Options{Calibration: &CalibrationOptions{}})
+	lines := testObsLines(t, 1)
+	long := bytes.Replace(lines[0], []byte(`"cnn":"`), []byte(`"cnn":"`+strings.Repeat("x", 4<<20)), 1)
+	status, resp := s.DoLocalBody(http.MethodPost, "/v1/observe", "", obsBody([][]byte{lines[0], long}))
+	if status != http.StatusBadRequest || !strings.Contains(string(resp), "line 2") {
+		t.Fatalf("over-cap line: status %d, body %.200s (want 400 naming line 2)", status, resp)
+	}
+}
+
 // TestObserveRejectsBadBodies: HTTP bodies are not crash artifacts — a
 // truncated or corrupt body is the client's bug and must be 400, even
 // though the same bytes in a journal file would be tolerated as a torn

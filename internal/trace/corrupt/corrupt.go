@@ -1,16 +1,20 @@
 // Package corrupt is the shared corruption model for the repository's
-// append-only JSONL journals (the campaign checkpoint and the
-// observation log). Both codecs promise the same recovery contract: a
-// torn final line — the footprint of a process killed mid-append — is
-// tolerated, dropping only that record; damage anywhere else is an
-// error. The table here drives both readers' corruption tests, so the
-// contract cannot drift between them.
+// append-only JSONL files: the campaign checkpoint, the daemon's
+// observation journal and the observation log, which all read through
+// one codec (internal/jsonl) under one contract. A torn tail — a final
+// line with no newline that is not valid JSON, the footprint of a crash
+// mid-append — is dropped; every other line must hold exactly one JSON
+// value. The table drives the codec's tests and both readers', so the
+// contract cannot drift between them. Every record reads under intact,
+// blank-interior-lines and final-record-unterminated; the torn-* cases
+// keep the records before the tail; garbage-mid-file,
+// truncated-mid-file-line, garbage-terminated-final-line,
+// two-records-one-line and trailing-junk-after-record are errors.
 package corrupt
 
 import "bytes"
 
-// Outcome classifies what a tolerant journal reader must do with a
-// mutated log.
+// Outcome classifies what a reader must do with a mutated log.
 type Outcome int
 
 const (
@@ -102,6 +106,34 @@ func Cases() []Case {
 				return bytes.Join([][]byte{lines[0], half, lines[2]}, []byte("\n"))
 			},
 			Want: WantErr,
+		},
+		{
+			// A newline proves the line was written whole: damage, not a tear.
+			Name:   "garbage-terminated-final-line",
+			Mutate: func(data []byte) []byte { return append(append([]byte{}, data...), "{broken\n"...) },
+			Want:   WantErr,
+		},
+		{
+			Name: "two-records-one-line",
+			Mutate: func(data []byte) []byte {
+				i := lastLineStart(data)
+				return append(append([]byte{}, data[:i-1]...), data[i:]...)
+			},
+			Want: WantErr,
+		},
+		{
+			Name: "trailing-junk-after-record",
+			Mutate: func(data []byte) []byte {
+				lines := bytes.SplitN(data, []byte("\n"), 3)
+				return bytes.Join([][]byte{lines[0], append(lines[1], "xyz"...), lines[2]}, []byte("\n"))
+			},
+			Want: WantErr,
+		},
+		{
+			// A crash between a record's bytes and its newline: the record is whole.
+			Name:   "final-record-unterminated",
+			Mutate: func(data []byte) []byte { return bytes.TrimRight(data, "\n") },
+			Want:   WantAll,
 		},
 	}
 }

@@ -4,23 +4,22 @@
 // The batch campaign and live calibration replay share this one shape:
 // Bundle.Observations flattens a campaign into the stream in a
 // deterministic order (profiles in bundle order, series in node
-// order, the exact row order the trainer has always used), and the
-// JSONL codec (ObsWriter/ObsReader) carries the same records through
-// files so a serving process can replay an observation log against a
-// saved predictor.
+// order, the exact row order the trainer has always used), and
+// ObsWriter/ObsReader, typed wrappers over the jsonl codec, carry the
+// same records through files so a serving process can replay an
+// observation log against a saved predictor.
 
 package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
+	"ceer/internal/jsonl"
 	"ceer/internal/ops"
 )
 
@@ -96,23 +95,24 @@ func (b *Bundle) Observations(emit func(Obs) error) error {
 	return nil
 }
 
-// ObsWriter encodes observations as JSONL: one compact JSON object per
-// line, in emission order, Go's shortest-round-trip float encoding —
-// byte-deterministic for a deterministic stream.
+// ObsWriter encodes observations as JSONL through the jsonl codec:
+// one compact JSON object per line, in emission order, Go's
+// shortest-round-trip float encoding — byte-deterministic for a
+// deterministic stream.
 type ObsWriter struct {
 	w   *bufio.Writer
-	enc *json.Encoder
+	enc *jsonl.Writer
 }
 
 // NewObsWriter wraps w for observation logging.
 func NewObsWriter(w io.Writer) *ObsWriter {
 	bw := bufio.NewWriter(w)
-	return &ObsWriter{w: bw, enc: json.NewEncoder(bw)}
+	return &ObsWriter{w: bw, enc: jsonl.NewWriter(bw)}
 }
 
 // Write appends one observation record.
 func (w *ObsWriter) Write(o Obs) error {
-	if err := w.enc.Encode(o); err != nil {
+	if err := w.enc.Append(o); err != nil {
 		return fmt.Errorf("trace: encoding observation: %w", err)
 	}
 	return nil
@@ -121,88 +121,50 @@ func (w *ObsWriter) Write(o Obs) error {
 // Flush drains buffered records to the underlying writer.
 func (w *ObsWriter) Flush() error { return w.w.Flush() }
 
-// ObsReader decodes a JSONL observation log, validating each record
-// and reporting errors with their 1-based line number. Blank lines are
-// skipped. Like the campaign checkpoint codec, the reader tolerates a
-// torn final line — the footprint of a process killed mid-append: a
-// record that fails to decode is an error only when another record
-// follows it; a trailing fragment ends the stream cleanly (check Torn
-// when truncation must be surfaced, e.g. for in-memory request bodies
-// that cannot legitimately be torn).
-type ObsReader struct {
-	sc   *bufio.Scanner
-	line int // 1-based line of the last record returned
+// obsLineCap bounds one observation line. Observation streams arrive
+// from outside the process, and a POST /v1/observe body has no other
+// bound.
+const obsLineCap = 4 << 20
 
-	primed  bool
-	cur     []byte // owned copy of the next non-blank line ("" = EOF)
-	curLine int
-	torn    int // 1-based line of a tolerated torn tail (0 = none)
+// DecodeObs decodes and validates one observation line: the record
+// decoder every observation reader shares.
+func DecodeObs(line []byte) (Obs, error) {
+	var o Obs
+	if err := jsonl.Decode(line, &o); err != nil {
+		return Obs{}, err
+	}
+	if err := o.Validate(); err != nil {
+		return Obs{}, err
+	}
+	return o, nil
 }
+
+// ObsReader reads a JSONL observation log through the jsonl codec,
+// decoding and validating each record. Errors name their 1-based line.
+// A torn tail ends the stream cleanly; check Torn where truncation
+// must surface, e.g. for request bodies, which cannot be torn.
+type ObsReader struct{ *jsonl.Reader }
 
 // NewObsReader wraps r for observation replay.
 func NewObsReader(r io.Reader) *ObsReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return &ObsReader{sc: sc}
-}
-
-// advance loads the next non-blank line into cur (copied out of the
-// scanner's reused buffer), reporting whether one exists.
-func (r *ObsReader) advance() bool {
-	for r.sc.Scan() {
-		r.curLine++
-		raw := bytes.TrimSpace(r.sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		r.cur = append(r.cur[:0], raw...)
-		return true
-	}
-	r.cur = nil
-	return false
+	return &ObsReader{jsonl.NewReader(r, obsLineCap)}
 }
 
 // Read returns the next observation, or io.EOF at the end of the log.
 func (r *ObsReader) Read() (Obs, error) {
-	if !r.primed {
-		r.primed = true
-		r.advance()
-	}
-	if r.cur == nil {
-		if err := r.sc.Err(); err != nil {
-			return Obs{}, fmt.Errorf("trace: reading observation log: %w", err)
-		}
+	line, err := r.Next()
+	if err == io.EOF {
 		return Obs{}, io.EOF
 	}
-	line := r.curLine
-	var o Obs
-	dec := json.NewDecoder(bytes.NewReader(r.cur))
-	dec.DisallowUnknownFields()
-	decErr := dec.Decode(&o)
-	hasNext := r.advance() // cur is fully consumed by the decoder above
-	if decErr != nil {
-		if !hasNext {
-			// Torn tail from an interrupted append: the intact prefix
-			// is the whole log.
-			r.torn = line
-			return Obs{}, io.EOF
-		}
-		return Obs{}, fmt.Errorf("trace: observation log line %d: %w", line, decErr)
+	if err != nil {
+		return Obs{}, fmt.Errorf("trace: observation log: %w", err)
 	}
-	if err := o.Validate(); err != nil {
-		return Obs{}, fmt.Errorf("trace: observation log line %d: %w", line, err)
+	o, err := DecodeObs(line)
+	if err != nil {
+		return Obs{}, fmt.Errorf("trace: observation log: line %d: %w", r.Line(), err)
 	}
-	r.line = line
 	return o, nil
 }
-
-// Line returns the 1-based line number of the last record returned.
-func (r *ObsReader) Line() int { return r.line }
-
-// Torn returns the 1-based line number of a tolerated torn final line,
-// or 0 if the log ended cleanly. Meaningful once Read has returned
-// io.EOF.
-func (r *ObsReader) Torn() int { return r.torn }
 
 // WriteObsLog streams a bundle's observations to w as JSONL.
 func WriteObsLog(w io.Writer, b *Bundle) error {

@@ -113,9 +113,9 @@ func TestObsLogRoundTrip(t *testing.T) {
 }
 
 // TestObsReaderErrors pins line-numbered failures for malformed logs.
-// Decode failures are fatal only when another record follows (a bad
-// *final* line is a torn tail, tested separately); validation failures
-// are fatal anywhere, including the final line.
+// Decode failures are fatal on every newline-terminated line (only an
+// unterminated final line is a torn tail, tested separately);
+// validation failures are fatal anywhere, including the final line.
 func TestObsReaderErrors(t *testing.T) {
 	good := `{"cnn":"a","gpu":"v100","node":0,"op":"Conv2D","features":[1],"seconds":0.5}`
 	cases := []struct {
@@ -124,6 +124,8 @@ func TestObsReaderErrors(t *testing.T) {
 		want string
 	}{
 		{"bad json mid-log", good + "\n{broken\n" + good + "\n", "line 2"},
+		{"bad json terminated final line", good + "\n{broken\n", "line 2"},
+		{"two records on one line", good + good + "\n", "line 1"},
 		{"unknown field mid-log", `{"cnn":"a","gpu":"v100","node":0,"op":"Conv2D","features":[1],"seconds":1,"extra":1}` + "\n" + good + "\n", "line 1"},
 		{"unregistered device", `{"cnn":"a","gpu":"nope","node":0,"op":"Conv2D","features":[1],"seconds":1}`, "unregistered device"},
 		{"unknown op", `{"cnn":"a","gpu":"v100","node":0,"op":"Nope","features":[1],"seconds":1}`, "unknown op type"},

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1+ verification gate (see README "Verification"): formatting,
 # vet, build, the full test suite, a race-detector pass over the whole
-# module, a short differential fuzz of the JSON encoder, the ceer-lint
-# static-analysis suite, the escape-analysis cross-check, the
-# calibration golden gate, the chaos determinism gate, the experiments
-# determinism gate, and a bench smoke run.
+# module, short fuzz runs of the JSON encoder and the JSONL journal
+# codec, the ceer-lint static-analysis suite, the escape-analysis
+# cross-check, the calibration golden gate, the chaos determinism gate,
+# the experiments determinism gate, and a bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +36,15 @@ echo "== fuzz: append JSON encoder vs encoding/json"
 for target in FuzzAppendJSONFloat FuzzAppendJSONString; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s ./internal/serve >/dev/null
 done
+
+echo "== fuzz: JSONL journal codec replay"
+# The one target for every reader on internal/jsonl (the campaign
+# checkpoint, the observe journal, the observation log): any byte
+# string fails naming a line or replays exactly its valid prefix, and
+# an append then reopen reads that prefix plus the record. The seed
+# corpus under internal/jsonl/testdata/fuzz is the shared corruption
+# table.
+go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/jsonl >/dev/null
 
 echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
