@@ -39,8 +39,7 @@ race:
 
 # The ceer-lint static-analysis suite (internal/lint): device
 # genericity, determinism, context threading, error hygiene, float
-# comparisons, and the hot-path proofs (allocfree, atomics, hotpath,
-# poolpair).
+# comparisons, and the hot-path proofs (allocfree, atomics, poolpair).
 lint:
 	$(GO) run ./cmd/ceer-lint
 

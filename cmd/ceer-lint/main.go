@@ -1,8 +1,8 @@
 // Command ceer-lint runs the project's static analyzer suite
 // (internal/lint) over the module: allocfree, atomics, ctxflow,
-// devicegeneric, determinism, errdrop, floatcmp, hotpath, and
-// poolpair. It exits 0 when the tree is clean, 1 when any diagnostic
-// survives, and 2 when the module fails to load or type-check.
+// devicegeneric, determinism, errdrop, floatcmp, and poolpair. It
+// exits 0 when the tree is clean, 1 when any diagnostic survives, and
+// 2 when the module fails to load or type-check.
 //
 // Usage:
 //

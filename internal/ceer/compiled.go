@@ -43,10 +43,10 @@ type CompiledPredictor struct {
 	p    *Predictor
 	fold *graph.GlobalFold
 
-	// devices holds the compiled device set sorted by ID; degraded
-	// carries each device's partial-coverage reason ("" = clean).
-	devices  []gpu.ID
-	degraded []string
+	// devices holds the compiled device set sorted by ID, and meta what
+	// the tables keep beside each ID.
+	devices []gpu.ID
+	meta    []deviceMeta
 
 	nd, nc, ng, maxK int
 
@@ -70,6 +70,15 @@ type CompiledPredictor struct {
 	buildEvals int
 }
 
+// deviceMeta is what the compiled tables keep per device beside its ID.
+type deviceMeta struct {
+	// family is the AWS family code, so the failure exit formats it
+	// without a registry lookup.
+	family string
+	// degraded is the partial-coverage reason ("" = clean).
+	degraded string
+}
+
 // Compile builds the compiled serving core for a trained predictor
 // over a fixed set of graphs: it folds the graphs into one global
 // signature-class table (graph.FoldAll), batch-evaluates every heavy
@@ -87,13 +96,13 @@ func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 	sort.Slice(devices, func(i, j int) bool { return devices[i] < devices[j] })
 
 	c := &CompiledPredictor{
-		p:        p,
-		fold:     gf,
-		devices:  devices,
-		degraded: make([]string, len(devices)),
-		nd:       len(devices),
-		nc:       gf.Len(),
-		ng:       gf.NumGraphs(),
+		p:       p,
+		fold:    gf,
+		devices: devices,
+		meta:    make([]deviceMeta, len(devices)),
+		nd:      len(devices),
+		nc:      gf.Len(),
+		ng:      gf.NumGraphs(),
 	}
 	for _, byK := range p.commModels {
 		for k := range byK {
@@ -106,8 +115,9 @@ func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 	c.kinds = make([]uint8, c.nd*c.nc)
 	c.times = make([]float64, c.nd*c.nc)
 	for di, m := range devices {
+		c.meta[di].family = m.Family()
 		if reason, ok := p.Degraded(m); ok {
-			c.degraded[di] = reason
+			c.meta[di].degraded = reason
 		}
 		byType := p.opModels[m]
 		base := di * c.nc
@@ -286,7 +296,7 @@ func (c *CompiledPredictor) assemble(gi, di, k int, v Variant, s opSums) (IterPr
 	if v == Full || v == HeavyOnly {
 		if !c.hasCommModel(di, k) {
 			//lint:ignore allocfree error construction on the failure exit only; the success path never reaches it
-			return IterPrediction{}, fmt.Errorf("ceer: no communication model for %s k=%d", c.devices[di].Family(), k)
+			return IterPrediction{}, fmt.Errorf("ceer: no communication model for %s k=%d", c.meta[di].family, k)
 		}
 		out.CommSeconds = c.comm[(gi*c.nd+di)*(c.maxK+1)+k]
 	}
@@ -435,7 +445,7 @@ func (c *CompiledPredictor) candidate(gi int, g *graph.Graph, cfg cloud.Config, 
 	if di < 0 {
 		return Candidate{}, fmt.Errorf("ceer: device %s is not in the compiled set", cfg.GPU)
 	}
-	cand := Candidate{Feasible: true, Degraded: c.degraded[di]}
+	cand := Candidate{Feasible: true, Degraded: c.meta[di].degraded}
 	v := Full
 	if cand.Degraded != "" && !c.hasCommModel(di, cfg.K) {
 		// A degraded device may lack its comm model for this k:

@@ -71,10 +71,14 @@ func TestCompiledMatchesNaive(t *testing.T) {
 				t.Fatalf("%s/%s/k=8 naive no-comm: %v", g.Name, m, err)
 			}
 			checkIterEqual(t, g.Name+"/"+string(m)+"/k=8", got, naive)
+			_, naiveErr := p.PredictIterationUnfolded(g, m, 8, Full)
+			if naiveErr == nil {
+				t.Fatalf("%s/%s: naive Full at untrained k=8 should error", g.Name, m)
+			}
 			if _, err := c.PredictIteration(g, m, 8, Full); err == nil {
 				t.Errorf("%s/%s: compiled Full at untrained k=8 should error", g.Name, m)
-			} else if !strings.Contains(err.Error(), "no communication model") {
-				t.Errorf("%s/%s: compiled k=8 error %q, want a no-communication-model error", g.Name, m, err)
+			} else if err.Error() != naiveErr.Error() {
+				t.Errorf("%s/%s: compiled k=8 error %q, want the oracle's %q", g.Name, m, err, naiveErr)
 			}
 		}
 	}

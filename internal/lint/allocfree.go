@@ -6,21 +6,21 @@ import (
 	"go/types"
 )
 
-// AnalyzerAllocFree proves the serving path's zero-allocation contract
-// (DESIGN.md §13) statically: every function reachable from a
-// //hot:path root through static calls must be free of
-// allocation-inducing constructs. Where the hotpath analyzer checks
-// each marked body in isolation, allocfree walks the whole call graph,
-// so a helper refactor cannot smuggle an allocation under an
-// unmarked function. Interface and function-value calls cannot be
-// proven and are reported as such; each one either gets a
+// AnalyzerAllocFree is the hot-path proof. It checks the serving
+// path's lock-free, zero-allocation contract (DESIGN.md §9, §13)
+// statically: every function reachable from a //hot:path root through
+// static calls must be free of allocating constructs, lock acquisition
+// and map indexing. The walk covers the whole call graph (walkHot), so
+// a helper refactor cannot smuggle an allocation, a lock or a map read
+// under an unmarked function. Interface and function-value calls
+// cannot be proven and are reported as such; each one either gets a
 // //lint:ignore allocfree with a reason or the code is restructured.
 // //hot:exempt <reason> functions are vetted boundaries (amortized
 // append encoders, cold admin endpoints) the walk does not enter.
 var AnalyzerAllocFree = &Analyzer{
 	Name: "allocfree",
 	Doc: "proves every function reachable from a //hot:path root free " +
-		"of allocating constructs",
+		"of allocating constructs, lock acquisition and map indexing",
 	RunModule: runAllocFree,
 }
 
@@ -34,11 +34,12 @@ var allocFreePkgs = map[string]bool{
 }
 
 // allocFreeFuncs are individually vetted external functions and
-// methods, keyed like funcKey. Mutex operations and sync.Pool Get/Put
+// methods, keyed like funcKey. Mutex releases and sync.Pool Get/Put
 // never allocate (Pool recycling is amortized; lifecycle discipline is
 // the poolpair analyzer's job); the strconv parsers and append-style
 // formatters work in caller storage or on the stack; the strings
-// scanners only read.
+// scanners only read. Lock acquisition is never listed: the walk
+// reports it (see lockAcquire).
 var allocFreeFuncs = map[string]bool{
 	"errors.Is":                 true,
 	"strconv.AppendBool":        true,
@@ -58,15 +59,10 @@ var allocFreeFuncs = map[string]bool{
 	"strings.Index":             true,
 	"strings.IndexByte":         true,
 	"strings.LastIndex":         true,
-	"sync.Mutex.Lock":           true,
-	"sync.Mutex.TryLock":        true,
 	"sync.Mutex.Unlock":         true,
 	"sync.Pool.Get":             true,
 	"sync.Pool.Put":             true,
-	"sync.RWMutex.Lock":         true,
-	"sync.RWMutex.RLock":        true,
 	"sync.RWMutex.RUnlock":      true,
-	"sync.RWMutex.TryLock":      true,
 	"sync.RWMutex.Unlock":       true,
 	"time.Duration.Nanoseconds": true,
 	"time.Duration.Seconds":     true,
@@ -74,58 +70,52 @@ var allocFreeFuncs = map[string]bool{
 	"time.Since":                true,
 }
 
-func runAllocFree(p *ModulePass) {
-	idx := buildCallIndex(p)
-	visited := make(map[string]bool)
-	var visit func(fi *funcInfo, root *funcInfo)
-	visit = func(fi, root *funcInfo) {
-		if visited[fi.key] {
-			return
-		}
-		visited[fi.key] = true
-		if fi.exempt {
-			return
-		}
-		w := &allocWalker{p: p, fi: fi, root: root, idx: idx, seen: make(map[string]bool)}
-		w.walk(fi.decl.Type, fi.decl.Body)
-		for _, callee := range w.callees {
-			visit(callee, root)
-		}
-	}
-	for _, key := range idx.keys {
-		if fi := idx.fns[key]; fi.root {
-			visit(fi, fi)
-		}
-	}
+// lockAcquire names the sync methods that take a lock. The hot path
+// is lock-free, so the walk reports each one, called or taken as a
+// method value.
+var lockAcquire = map[string]bool{
+	"Lock":     true,
+	"RLock":    true,
+	"TryLock":  true,
+	"TryRLock": true,
 }
 
-// allocWalker checks one function body for allocating constructs,
-// collecting its static in-module callees for the transitive walk.
+// acquiresLock reports whether f is a sync lock-acquisition method.
+func acquiresLock(f *types.Func) bool {
+	return f.Pkg() != nil && f.Pkg().Path() == "sync" && lockAcquire[f.Name()]
+}
+
+func runAllocFree(p *ModulePass) {
+	idx := buildCallIndex(p)
+	walkHot(idx, func(fi, root *funcInfo) {
+		w := &allocWalker{p: p, fi: fi, root: root, idx: idx}
+		w.walk(fi.decl.Type, fi.decl.Body)
+	})
+}
+
+// allocWalker checks one function body the hot-path walk covers.
 type allocWalker struct {
 	p    *ModulePass
 	fi   *funcInfo
 	root *funcInfo
 	idx  *callIndex
-
-	callees []*funcInfo
-	seen    map[string]bool
 }
 
 func (w *allocWalker) info() *types.Info { return w.fi.pkg.Info }
 
 func (w *allocWalker) reportf(pos token.Pos, format string, args ...any) {
-	where := "in //hot:path function " + w.fi.display()
-	if w.fi != w.root {
-		where = "in " + w.fi.display() + " (reachable from //hot:path " + w.root.display() + ")"
-	}
-	w.p.Reportf(pos, format+" "+where, args...)
+	w.p.Reportf(pos, format+" "+hotWhere(w.fi, w.root), args...)
 }
 
 // walk inspects one function or literal body. Nested literals are
 // recursed into explicitly so return statements always resolve against
-// the innermost signature.
+// the innermost signature. Called holds the selectors in call position
+// (ast.Inspect visits a call before its Fun): a sync lock method
+// reached as any other selector is a method value, which takes the
+// lock wherever it is later called.
 func (w *allocWalker) walk(ftype *ast.FuncType, body *ast.BlockStmt) {
 	results := resultTypes(w.info(), ftype)
+	called := make(map[*ast.SelectorExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -133,7 +123,18 @@ func (w *allocWalker) walk(ftype *ast.FuncType, body *ast.BlockStmt) {
 			w.walk(n.Type, n.Body)
 			return false
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
 			w.call(n)
+		case *ast.SelectorExpr:
+			if f, ok := w.info().Uses[n.Sel].(*types.Func); ok && acquiresLock(f) && !called[n] {
+				w.reportf(n.Pos(), "method value of sync %s captured", f.Name())
+			}
+		case *ast.IndexExpr:
+			if _, ok := w.typeOf(n.X).Underlying().(*types.Map); ok {
+				w.reportf(n.Pos(), "map index")
+			}
 		case *ast.CompositeLit:
 			switch w.typeOf(n).Underlying().(type) {
 			case *types.Slice:
@@ -192,13 +193,7 @@ func (w *allocWalker) call(call *ast.CallExpr) {
 		f := obj.(*types.Func)
 		if f.Pkg() != nil && w.idx.modulePkgs[f.Pkg().Path()] {
 			w.checkArgs(call, f.Type().(*types.Signature))
-			key := funcKey(f)
-			if callee := w.idx.fns[key]; callee != nil {
-				if !w.seen[key] {
-					w.seen[key] = true
-					w.callees = append(w.callees, callee)
-				}
-			} else {
+			if key := funcKey(f); w.idx.fns[key] == nil {
 				// A module function without an indexed body (declared
 				// in a test file, say) would leave a hole in the proof.
 				w.reportf(call.Pos(), "call to %s has no vetted body (unprovable)", key)
@@ -219,8 +214,13 @@ func (w *allocWalker) call(call *ast.CallExpr) {
 	}
 }
 
-// external vets a call that leaves the module against the allowlist.
+// external vets a call that leaves the module: lock acquisition is
+// reported, everything else is checked against the allowlist.
 func (w *allocWalker) external(call *ast.CallExpr, f *types.Func) {
+	if acquiresLock(f) {
+		w.reportf(call.Pos(), "sync %s acquired", f.Name())
+		return
+	}
 	path := ""
 	if f.Pkg() != nil {
 		path = f.Pkg().Path()
@@ -303,13 +303,6 @@ func (w *allocWalker) conversion(call *ast.CallExpr) {
 func (w *allocWalker) assign(n *ast.AssignStmt) {
 	if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(w.typeOf(n.Lhs[0])) {
 		w.reportf(n.Pos(), "string concatenation allocates")
-	}
-	for _, lhs := range n.Lhs {
-		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-			if _, isMap := w.typeOf(ix.X).Underlying().(*types.Map); isMap {
-				w.reportf(lhs.Pos(), "map assignment may allocate")
-			}
-		}
 	}
 	if (n.Tok == token.ASSIGN) && len(n.Lhs) == len(n.Rhs) {
 		for i := range n.Lhs {

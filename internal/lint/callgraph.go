@@ -7,14 +7,18 @@ import (
 	"strings"
 )
 
-// The call graph shared by the hot-path proof analyzers. It is built
-// once per module pass from the non-test function declarations:
-// //hot:path marks a root, //hot:exempt <reason> marks a vetted
-// boundary the transitive walk does not cross (the append-encoder and
-// cold-admin functions, whose amortized allocation behaviour is pinned
-// by benchmarks instead). Static calls resolve through go/types;
-// interface and function-value calls cannot be resolved statically and
-// are the caller's problem to justify (see allocfree.go).
+// The call graph of the hot-path proof. It is built once per module
+// pass from the non-test function declarations: //hot:path marks a
+// root, //hot:exempt <reason> marks a vetted boundary the walk does not
+// cross (the append-encoder and cold-admin functions, whose amortized
+// allocation behaviour is pinned by benchmarks instead). Static calls
+// resolve through go/types; interface and function-value calls cannot
+// be resolved statically and are the caller's problem to justify (see
+// allocfree.go). walkHot is the one walk over it: allocfree and the
+// escape cross-check both take their covered set from it.
+
+// hotPathDirective is the doc-comment line marking a hot-path root.
+const hotPathDirective = "//hot:path"
 
 // hotExemptDirective marks a function as a vetted hot-path boundary.
 // The reason is mandatory, mirroring lint:ignore.
@@ -90,6 +94,20 @@ func buildCallIndex(p *ModulePass) *callIndex {
 	}
 	sort.Strings(idx.keys)
 	return idx
+}
+
+// isHotPath reports whether the function's doc comment carries the
+// //hot:path directive on a line of its own.
+func isHotPath(fn *ast.FuncDecl) bool {
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		if strings.TrimSpace(c.Text) == hotPathDirective {
+			return true
+		}
+	}
+	return false
 }
 
 // parseExempt reports whether fn carries a //hot:exempt directive,
@@ -199,55 +217,44 @@ func resolveCall(info *types.Info, call *ast.CallExpr) (calleeKind, types.Object
 	return calleeUnknown, nil
 }
 
-// hotReachable walks the call graph from every //hot:path root and
-// returns the set of functions the allocation-freedom proof covers:
-// roots plus every statically reachable module function, stopping at
-// //hot:exempt boundaries (which are excluded). Iteration over the
-// sorted root keys and in-source call order keeps the walk
-// deterministic.
-func hotReachable(idx *callIndex) map[string]*funcInfo {
-	covered := make(map[string]*funcInfo)
-	var visit func(fi *funcInfo)
-	visit = func(fi *funcInfo) {
-		if fi.exempt || covered[fi.key] != nil {
+// walkHot is the hot-path proof's one walk. It follows static
+// in-module calls from every //hot:path root, roots in sorted key
+// order and callees in source order, and calls visit once for each
+// function the proof covers, with the first root that reaches it. A
+// //hot:exempt boundary is neither visited nor entered.
+func walkHot(idx *callIndex, visit func(fi, root *funcInfo)) {
+	seen := make(map[string]bool)
+	var enter func(fi, root *funcInfo)
+	enter = func(fi, root *funcInfo) {
+		if fi.exempt || seen[fi.key] {
 			return
 		}
-		covered[fi.key] = fi
-		for _, callee := range staticCallees(idx, fi) {
-			visit(callee)
-		}
+		seen[fi.key] = true
+		visit(fi, root)
+		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if kind, obj := resolveCall(fi.pkg.Info, call); kind == calleeStatic {
+					if callee := idx.fns[funcKey(obj.(*types.Func))]; callee != nil {
+						enter(callee, root)
+					}
+				}
+			}
+			return true
+		})
 	}
 	for _, key := range idx.keys {
 		if fi := idx.fns[key]; fi.root {
-			visit(fi)
+			enter(fi, fi)
 		}
 	}
-	return covered
 }
 
-// staticCallees lists fi's statically resolved in-module callees in
-// source order.
-func staticCallees(idx *callIndex, fi *funcInfo) []*funcInfo {
-	var out []*funcInfo
-	seen := make(map[string]bool)
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		kind, obj := resolveCall(fi.pkg.Info, call)
-		if kind != calleeStatic {
-			return true
-		}
-		f := obj.(*types.Func)
-		if f.Pkg() == nil || !idx.modulePkgs[f.Pkg().Path()] {
-			return true
-		}
-		if callee := idx.fns[funcKey(f)]; callee != nil && !seen[callee.key] {
-			seen[callee.key] = true
-			out = append(out, callee)
-		}
-		return true
-	})
-	return out
+// hotWhere attributes a finding in fi to the walk that reached it:
+// "in //hot:path function R" inside a root, "in F (reachable from
+// //hot:path R)" below one.
+func hotWhere(fi, root *funcInfo) string {
+	if fi == root {
+		return "in //hot:path function " + fi.display()
+	}
+	return "in " + fi.display() + " (reachable from //hot:path " + root.display() + ")"
 }

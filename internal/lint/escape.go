@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"io"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -67,11 +66,13 @@ func parseEscapeLog(r io.Reader) ([]escapeHit, error) {
 	return hits, nil
 }
 
-// fnRange is one covered function's source extent.
+// fnRange is one covered function's source extent, with the first
+// root that reaches it.
 type fnRange struct {
 	startLine int
 	endLine   int
 	fi        *funcInfo
+	root      *funcInfo
 }
 
 // CrossCheckEscapes loads the module at cfg, parses a
@@ -94,17 +95,16 @@ func CrossCheckEscapes(cfg Config, log io.Reader) ([]Diagnostic, error) {
 	}
 
 	mp := &ModulePass{Fset: fset, Pkgs: pkgs, report: func(token.Pos, string) {}}
-	covered := hotReachable(buildCallIndex(mp))
 	ranges := make(map[string][]fnRange)
-	for _, key := range sortedKeys(covered) {
-		fi := covered[key]
+	walkHot(buildCallIndex(mp), func(fi, root *funcInfo) {
 		pos := fset.Position(fi.decl.Pos())
 		ranges[pos.Filename] = append(ranges[pos.Filename], fnRange{
 			startLine: pos.Line,
 			endLine:   fset.Position(fi.decl.End()).Line,
 			fi:        fi,
+			root:      root,
 		})
-	}
+	})
 
 	known := make(map[string]bool, len(Analyzers))
 	for _, a := range Analyzers {
@@ -124,13 +124,9 @@ func CrossCheckEscapes(cfg Config, log io.Reader) ([]Diagnostic, error) {
 		if !filepath.IsAbs(abs) {
 			abs = filepath.Join(root, filepath.FromSlash(h.file))
 		}
-		fi := enclosing(ranges[abs], h.line)
-		if fi == nil || ignores.suppressed(AnalyzerAllocFree.Name, abs, h.line) {
+		fn := enclosing(ranges[abs], h.line)
+		if fn == nil || ignores.suppressed(AnalyzerAllocFree.Name, abs, h.line) {
 			continue
-		}
-		where := "reachable from a //hot:path root"
-		if fi.root {
-			where = "a //hot:path function"
 		}
 		rel := h.file
 		if r, err := filepath.Rel(root, abs); err == nil && !strings.HasPrefix(r, "..") {
@@ -141,8 +137,8 @@ func CrossCheckEscapes(cfg Config, log io.Reader) ([]Diagnostic, error) {
 			Line:     h.line,
 			Col:      h.col,
 			Analyzer: AnalyzerAllocFree.Name,
-			Message: fmt.Sprintf("compiler escape analysis: %s in %s (%s)",
-				h.msg, fi.display(), where),
+			Message: fmt.Sprintf("compiler escape analysis: %s %s",
+				h.msg, hotWhere(fn.fi, fn.root)),
 		})
 	}
 	sortDiagnostics(diags)
@@ -152,7 +148,7 @@ func CrossCheckEscapes(cfg Config, log io.Reader) ([]Diagnostic, error) {
 // enclosing finds the covered function containing line, preferring the
 // innermost (latest-starting) range so methods declared after one
 // another resolve correctly.
-func enclosing(ranges []fnRange, line int) *funcInfo {
+func enclosing(ranges []fnRange, line int) *fnRange {
 	var best *fnRange
 	for i := range ranges {
 		r := &ranges[i]
@@ -163,19 +159,5 @@ func enclosing(ranges []fnRange, line int) *funcInfo {
 			best = r
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	return best.fi
-}
-
-// sortedKeys returns the map's keys in sorted order, for deterministic
-// range building.
-func sortedKeys(m map[string]*funcInfo) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return best
 }

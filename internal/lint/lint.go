@@ -261,7 +261,6 @@ var Analyzers = []*Analyzer{
 	AnalyzerDeterminism,
 	AnalyzerErrDrop,
 	AnalyzerFloatCmp,
-	AnalyzerHotPath,
 	AnalyzerPoolPair,
 }
 

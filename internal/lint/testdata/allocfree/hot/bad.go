@@ -14,7 +14,7 @@ func badBasics(k string, n int) float64 {
 	xs = append(xs, 1)       // want `append may grow its backing array in //hot:path function badBasics`
 	ys := []int{1, 2}        // want `slice literal allocates in //hot:path function badBasics`
 	m := map[string]int{}    // want `map literal allocates in //hot:path function badBasics`
-	m[k] = n                 // want `map assignment may allocate in //hot:path function badBasics`
+	m[k] = n                 // want `map index in //hot:path function badBasics`
 	q := &stats{n: n}        // want `address of composite literal escapes and allocates`
 	s := k + "!"             // want `string concatenation allocates in //hot:path function badBasics`
 	s += k                   // want `string concatenation allocates in //hot:path function badBasics`

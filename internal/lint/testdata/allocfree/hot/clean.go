@@ -30,12 +30,10 @@ func (c *core) render(v float64) {
 //hot:path
 func (c *core) cleanRoot(idx []int, v float64) float64 {
 	c.hits.Add(1)
-	c.mu.Lock()
 	var sum float64
 	for _, i := range idx {
 		sum += c.vals[i]
 	}
-	c.mu.Unlock()
 	c.render(v)
 	return math.Sqrt(sum)
 }

@@ -9,9 +9,9 @@ import (
 // The shapes below mirror the serving daemon (internal/serve): a
 // request router, a query parser, an admission gate, and a metrics
 // recorder all run per-request and are marked //hot:path; response
-// rendering is append-heavy by design and therefore deliberately
-// UNMARKED (the analyzer bans append on marked functions, so the
-// daemon keeps its encoders off the marked set and pins their
+// rendering is append-heavy by design and therefore kept OUT of the
+// proof (the proof bans append under marked functions, so the daemon
+// puts its encoders behind //hot:exempt boundaries and pins their
 // allocation behavior with benchmarks instead).
 
 // daemon is a miniature of serve.Server's hot state.
@@ -28,7 +28,7 @@ type daemon struct {
 //
 //hot:path
 func (d *daemon) badRoute(path string) int {
-	return d.routes[path] // want `map index in //hot:path function badRoute`
+	return d.routes[path] // want `map index in //hot:path function daemon.badRoute`
 }
 
 // badAdmit guards admission state with a mutex — the daemon uses
@@ -36,7 +36,7 @@ func (d *daemon) badRoute(path string) int {
 //
 //hot:path
 func (d *daemon) badAdmit() bool {
-	d.mu.Lock() // want `sync Lock acquired in //hot:path function badAdmit`
+	d.mu.Lock() // want `sync Lock acquired in //hot:path function daemon.badAdmit`
 	defer d.mu.Unlock()
 	return d.inflight.Load() < 8
 }
@@ -46,7 +46,7 @@ func (d *daemon) badAdmit() bool {
 //
 //hot:path
 func (d *daemon) badRender(msg string) {
-	d.buf = append(d.buf, msg...) // want `append in //hot:path function badRender`
+	d.buf = append(d.buf, msg...) // want `append may grow its backing array in //hot:path function daemon.badRender`
 }
 
 // cleanRoute is the daemon's sanctioned router shape: a switch on the
@@ -75,8 +75,8 @@ func (d *daemon) cleanParse(raw string) (model string) {
 		} else {
 			raw = ""
 		}
-		if v, ok := strings.CutPrefix(pair, "model="); ok {
-			model = v
+		if strings.HasPrefix(pair, "model=") {
+			model = pair[len("model="):]
 		}
 	}
 	return model
@@ -92,8 +92,8 @@ func (d *daemon) cleanObserve(ep int) {
 
 // render is the deliberately-unmarked encoder: append into a reused
 // buffer is the whole point of the pooled-scratch design, and the
-// zero-allocation contract is enforced by benchmarks, not by this
-// analyzer.
+// zero-allocation contract is enforced by benchmarks; no root calls it,
+// so the proof never reaches it.
 func (d *daemon) render(msg string) {
 	d.buf = append(d.buf[:0], '{')
 	d.buf = append(d.buf, msg...)

@@ -2,12 +2,12 @@ package hot
 
 // badMethodValue captures a lock acquisition as a method value: the
 // capture itself allocates, and calling the value later takes the lock
-// without a direct call expression for the analyzer's call check to
+// without a direct call expression for the proof's call check to
 // see.
 //
 //hot:path
 func (t *table) badMethodValue() func() {
-	lock := t.mu.Lock // want `method value of sync Lock captured in //hot:path function badMethodValue`
+	lock := t.mu.Lock // want `method value of sync Lock captured in //hot:path function table.badMethodValue`
 	return lock
 }
 
@@ -15,7 +15,7 @@ func (t *table) badMethodValue() func() {
 //
 //hot:path
 func (t *table) badDeferLock() {
-	defer t.mu.Lock() // want `sync Lock acquired in //hot:path function badDeferLock`
+	defer t.mu.Lock() // want `sync Lock acquired in //hot:path function table.badDeferLock`
 }
 
 // cleanMethodValue is unmarked: method values are fine off the hot

@@ -8,11 +8,12 @@
 // serial ones, so two properties are load-bearing:
 //
 //   - Determinism. Each task's result lands at the index of its input,
-//     never in completion order. Because task indices are claimed in
-//     order and started tasks always run to completion, the error
-//     returned on failure is that of the lowest-indexed failing task —
-//     the same error a serial loop would have stopped at — regardless
-//     of goroutine scheduling.
+//     never in completion order. A failure skips only the indices above
+//     it, and no task's context is cancelled by another task's failure,
+//     so every index below the lowest failure runs exactly as in a
+//     serial loop: the error returned is that of the lowest-indexed
+//     failing task — the one a serial loop would have stopped at —
+//     regardless of goroutine scheduling.
 //
 //   - Bounded footprint. At most `workers` tasks run at once, and
 //     workers == 1 degenerates to a plain serial loop on the calling
@@ -47,8 +48,8 @@ func Workers(requested, n int) int {
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most
 // Workers(workers, n) goroutines. It returns the error of the
-// lowest-indexed failing task, cancelling the derived context as soon
-// as any task fails so unstarted tasks are skipped. A cancelled parent
+// lowest-indexed failing task; once a task fails, unstarted tasks
+// above it are skipped and tasks already running finish. A cancelled
 // context stops the loop between tasks and is reported as ctx.Err().
 func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
@@ -68,54 +69,64 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	return forEachParallel(ctx, Workers(workers, n), n, fn)
 }
 
-func forEachParallel(parent context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
+// forEachParallel is ForEach's pool. Every task gets the caller's
+// context as is: cancelling it on a failure would hand a lower index
+// that is still running a cancelled context, and that index's outcome
+// would then depend on the schedule.
+func forEachParallel(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	var (
-		mu      sync.Mutex
-		failIdx = n
-		failErr error
+		fail    = lowestFailure{idx: n}
 		nextIdx atomic.Int64
 		wg      sync.WaitGroup
 	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < failIdx {
-			failIdx, failErr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(nextIdx.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Skip tasks claimed after cancellation; indices are
-				// claimed in order, so every index below a recorded
-				// failure has already started and will record its own
-				// outcome.
-				if ctx.Err() != nil {
+				if i >= n || ctx.Err() != nil || fail.skip(i) {
 					return
 				}
 				if err := fn(ctx, i); err != nil {
-					record(i, err)
+					fail.record(i, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if failErr != nil {
-		return failErr
+	if fail.err != nil {
+		return fail.err
 	}
-	return parent.Err()
+	return ctx.Err()
+}
+
+// lowestFailure records the lowest-indexed failure (or abort) of a
+// pool.
+type lowestFailure struct {
+	mu  sync.Mutex
+	idx int
+	err error
+}
+
+// skip reports whether claimed index i lies above the recorded
+// failure, where a serial loop would never have reached it. An index
+// below it still runs, whatever the schedule, and may record a lower
+// failure.
+func (l *lowestFailure) skip(i int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return i > l.idx
+}
+
+// record keeps err if i is the lowest failing index so far.
+func (l *lowestFailure) record(i int, err error) {
+	l.mu.Lock()
+	if i < l.idx {
+		l.idx, l.err = i, err
+	}
+	l.mu.Unlock()
 }
 
 // AbortError marks a task error that must stop the whole pool, not
@@ -180,46 +191,28 @@ func MapPartial[T any](ctx context.Context, workers, n int, fn func(ctx context.
 	return out, errs, err
 }
 
-func mapPartialParallel[T any](parent context.Context, workers, n int, out []T, errs []error, fn func(ctx context.Context, i int) (T, error)) error {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
+func mapPartialParallel[T any](ctx context.Context, workers, n int, out []T, errs []error, fn func(ctx context.Context, i int) (T, error)) error {
 	var (
-		mu       sync.Mutex
-		abortIdx = n
-		abortErr error
-		nextIdx  atomic.Int64
-		wg       sync.WaitGroup
+		fail    = lowestFailure{idx: n}
+		nextIdx atomic.Int64
+		wg      sync.WaitGroup
 	)
-	recordAbort := func(i int, err error) {
-		mu.Lock()
-		if i < abortIdx {
-			abortIdx, abortErr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(nextIdx.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// As in forEachParallel: indices are claimed in order
-				// and started tasks run to completion, so every index
-				// below a recorded abort has a real outcome in errs.
-				if ctx.Err() != nil {
+				// As in forEachParallel: every index below a recorded
+				// abort runs and leaves a real outcome in errs.
+				if i >= n || ctx.Err() != nil || fail.skip(i) {
 					return
 				}
 				v, err := fn(ctx, i)
 				var abort *AbortError
 				if errors.As(err, &abort) {
 					errs[i] = abort.Err
-					recordAbort(i, abort.Err)
+					fail.record(i, abort.Err)
 					return
 				}
 				// Each index is claimed exactly once, so these writes
@@ -229,10 +222,10 @@ func mapPartialParallel[T any](parent context.Context, workers, n int, out []T, 
 		}()
 	}
 	wg.Wait()
-	if abortErr != nil {
-		return abortErr
+	if fail.err != nil {
+		return fail.err
 	}
-	return parent.Err()
+	return ctx.Err()
 }
 
 // Map runs fn over [0, n) like ForEach and collects the results in

@@ -77,6 +77,65 @@ func TestLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestLowestIndexErrorForcedSchedule forces the schedule in which a
+// higher index's failure used to hide a lower one: index 1 fails while
+// index 0 is still running, and only then does index 0 look at its
+// context. A serial loop stops at index 0's own error, so the pool
+// must return it too.
+func TestLowestIndexErrorForcedSchedule(t *testing.T) {
+	failed := make(chan struct{})
+	err := ForEach(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			defer close(failed)
+			return errors.New("task 1 failed")
+		}
+		afterFailure(ctx, failed)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return errors.New("task 0 failed")
+	})
+	if err == nil || err.Error() != "task 0 failed" {
+		t.Fatalf("err = %v, want task 0 failed", err)
+	}
+}
+
+// TestMapPartialAbortForcedSchedule is the MapPartial twin: index 1
+// aborts while index 0 is still running, and index 0 must still record
+// the outcome a serial run gives it.
+func TestMapPartialAbortForcedSchedule(t *testing.T) {
+	failed := make(chan struct{})
+	out, errs, err := MapPartial(context.Background(), 2, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 1 {
+			defer close(failed)
+			return 0, Abort(errors.New("task 1 aborted"))
+		}
+		afterFailure(ctx, failed)
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return 42, nil
+	})
+	if err == nil || err.Error() != "task 1 aborted" {
+		t.Fatalf("err = %v, want task 1 aborted", err)
+	}
+	if out[0] != 42 || errs[0] != nil {
+		t.Fatalf("task 0 = (%d, %v), want (42, <nil>) as in a serial run", out[0], errs[0])
+	}
+}
+
+// afterFailure is the barrier of the forced-schedule tests: it returns
+// once the higher index has failed and the pool has had a grace period
+// to react. A pool that cancels its tasks' context on a failure does so
+// well within it.
+func afterFailure(ctx context.Context, failed <-chan struct{}) {
+	<-failed
+	select {
+	case <-ctx.Done():
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
 func TestErrorCancelsRemainingTasks(t *testing.T) {
 	var started atomic.Int64
 	boom := errors.New("boom")

@@ -13,9 +13,10 @@ import (
 // mutate it.
 var contentTypeJSON = []string{"application/json"}
 
-// reply writes a response and records its metrics. Unmarked (header
-// maps are banned in //hot:path functions) but allocation-free: the
-// header value slice is shared and the body is the caller's scratch.
+// reply writes a response and records its metrics. Exempt (the
+// hot-path proof bans map writes, and the header is a map) but
+// allocation-free: the header value slice is shared and the body is the
+// caller's scratch.
 //
 //hot:exempt header-map write and ResponseWriter interface calls; allocation behaviour pinned by the serve benches
 func (s *Server) reply(w http.ResponseWriter, ep, status int, body []byte, start int64) {

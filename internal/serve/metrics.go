@@ -8,7 +8,7 @@ import (
 
 // Endpoint indices: hot counters live in flat arrays indexed by these,
 // so recording a request is two or three atomic adds — no maps, no
-// locks, no allocation (the hotpath analyzer guards this).
+// locks, no allocation (the allocfree hot-path proof guards this).
 const (
 	epPredict = iota
 	epRecommend

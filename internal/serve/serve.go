@@ -91,7 +91,7 @@ type Options struct {
 
 // modelEntry pairs a zoo model with its cached graph. Entries live in a
 // slice scanned linearly — 12 string compares beat a map lookup at this
-// size and keep the resolver legal under the hotpath analyzer.
+// size and keep the resolver legal under the hot-path proof.
 type modelEntry struct {
 	name string
 	g    *ceer.Graph

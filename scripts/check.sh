@@ -50,16 +50,17 @@ echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
 # genericity in core packages, determinism on the result path, error
 # hygiene, float-comparison discipline, and the hot-path proof layer
-# (allocfree, atomics, hotpath, poolpair over the //hot:path call
-# graph). Any diagnostic fails the gate; intentional exceptions carry
+# (allocfree, atomics, poolpair over the //hot:path call graph). Any
+# diagnostic fails the gate; intentional exceptions carry
 # //lint:ignore directives with a reason, in the source, where
 # reviewers can see them.
 go run ./cmd/ceer-lint
 
 echo "== lint-escape cross-check"
-# The compiler's escape analysis replayed against the hot-path call
-# graph: any "escapes to heap" inside a //hot:path-reachable function
-# fails (scripts/lint-escape.sh; CEER_SKIP_ESCAPE=1 skips).
+# The compiler's escape analysis over the whole module replayed
+# against the hot-path call graph: any "escapes to heap" inside a
+# //hot:path-reachable function fails (scripts/lint-escape.sh;
+# CEER_SKIP_ESCAPE=1 skips).
 ./scripts/lint-escape.sh >/dev/null
 
 echo "== calibration golden gate"
@@ -80,8 +81,10 @@ echo "== chaos determinism gate"
 
 echo "== experiments determinism gate"
 # The paper-figure report must be byte-identical serial and parallel:
-# every table, row and footnote in the same order. Only stdout is
-# compared; the timing line goes to stderr, shown if a run fails.
+# every table, row and footnote in the same order, and the serial run
+# must equal the checked-in experiments_report.txt, so every reproduced
+# number is pinned. Only stdout is compared; the timing line goes to
+# stderr, shown if a run fails.
 exp_out="$(mktemp -d)"
 for workers in 1 2; do
     if ! go run ./cmd/ceer-experiments -workers "${workers}" \
@@ -92,6 +95,10 @@ for workers in 1 2; do
 done
 if ! cmp "${exp_out}/w1.txt" "${exp_out}/w2.txt"; then
     echo "experiments determinism gate FAILED: -workers 1 and 2 reports differ" >&2
+    exit 1
+fi
+if ! cmp "${exp_out}/w1.txt" experiments_report.txt; then
+    echo "experiments determinism gate FAILED: the report differs from experiments_report.txt" >&2
     exit 1
 fi
 rm -rf "${exp_out}"
