@@ -16,11 +16,11 @@ bench:
 bench-predict:
 	./scripts/bench.sh
 
-# Serve-daemon benches: the zero-alloc handler paths plus the
-# deterministic load-generator runs (closed and open loop, recording
-# p50/p99/p999 latency and req/s); regenerates BENCH_serve.json in
-# place (the in-place run skips the gate — `make check` gates against
-# the committed file).
+# Serve-daemon benches: the zero-alloc handler paths and the encoder;
+# regenerates BENCH_serve.json in place (the in-place run skips the
+# gate — `make check` gates against the committed file). Latency and
+# throughput under load come from perfbench against the live daemon
+# (perfbench/run.sh).
 bench-serve:
 	BENCH_PKG=./internal/serve BENCH_REGEX=Serve \
 	    BENCH_OUT=BENCH_serve.json BENCH_BASELINE=BENCH_serve.json \
@@ -62,9 +62,9 @@ chaos:
 chaos-serve:
 	./scripts/chaos-serve.sh
 
-# The tier-1+ gate: gofmt + vet + build + full tests + module-wide
-# race pass + ceer-lint + escape cross-check + chaos determinism +
-# bench smoke + serve bench gate + serve daemon smoke
-# (scripts/check.sh).
+# The tier-1+ gate: gofmt + vet + build + full tests + perfbench vet
+# and tests + module-wide race pass + ceer-lint + escape cross-check +
+# chaos determinism + bench smoke + serve bench gate + serve daemon
+# smoke (scripts/check.sh).
 check:
 	./scripts/check.sh

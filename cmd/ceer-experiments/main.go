@@ -10,9 +10,6 @@
 //	ceer-experiments -run fig1 -dot   # also dump the Fig. 1 DOT graph
 //	ceer-experiments -markdown        # emit results as Markdown sections
 //	ceer-experiments -workers 8       # bound campaign/figure parallelism
-//	ceer-experiments -calibrate observations.jsonl
-//	                                  # replay an observation log and print
-//	                                  # the drift/refit calibration report
 //
 // Independent figures execute concurrently over one trained context
 // (-workers; 0 = GOMAXPROCS, 1 = serial). Output is rendered in the
@@ -27,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	ceer "ceer/internal/ceer"
 	"ceer/internal/experiments"
 	"ceer/internal/faults"
 )
@@ -45,7 +41,6 @@ func main() {
 	retries := flag.Int("retries", 0, "per-cell retry budget for transient campaign faults")
 	faultSpec := flag.String("fault-spec", "", "JSON fault-injection spec file for the training campaign (chaos testing)")
 	checkpoint := flag.String("checkpoint", "", "journal campaign progress to this file and resume from it")
-	calibrate := flag.String("calibrate", "", "replay this JSONL observation log against the trained predictor and print the calibration report instead of running experiments")
 	flag.Parse()
 
 	if *list {
@@ -55,14 +50,14 @@ func main() {
 		return
 	}
 	if err := runAll(*run, *seed, *iters, *measure, *workers, *dot, *markdown,
-		*timeout, *retries, *faultSpec, *checkpoint, *calibrate); err != nil {
+		*timeout, *retries, *faultSpec, *checkpoint); err != nil {
 		fmt.Fprintln(os.Stderr, "ceer-experiments:", err)
 		os.Exit(1)
 	}
 }
 
 func runAll(runList string, seed uint64, iters, measure, workers int, dot, markdown bool,
-	timeout time.Duration, retries int, faultSpec, checkpoint, calibrate string) error {
+	timeout time.Duration, retries int, faultSpec, checkpoint string) error {
 	var names []string
 	if runList != "" {
 		names = strings.Split(runList, ",")
@@ -106,10 +101,6 @@ func runAll(runList string, seed uint64, iters, measure, workers int, dot, markd
 			ectx.Coverage, ectx.Pred.DegradedDevices())
 	}
 
-	if calibrate != "" {
-		return runCalibration(ectx, calibrate, spec)
-	}
-
 	results, err := experiments.RunAll(ctx, ectx, names, workers)
 	if err != nil {
 		return err
@@ -131,31 +122,4 @@ func runAll(runList string, seed uint64, iters, measure, workers int, dot, markd
 		}
 	}
 	return nil
-}
-
-// runCalibration replays a JSONL observation log through the trained
-// predictor's observe→predict→calibrate loop and prints the report.
-// The -fault-spec, when given, also injects into the replay (stage
-// "calibrate": transient faults drop observations).
-func runCalibration(ectx *experiments.Context, obsPath string, spec *faults.Spec) error {
-	cal, err := ceer.NewCalibrator(ectx.Pred, ceer.DefaultCalibrationPolicy())
-	if err != nil {
-		return err
-	}
-	var inj *faults.Injector
-	if spec != nil {
-		if inj, err = faults.NewInjector(spec); err != nil {
-			return err
-		}
-	}
-	f, err := os.Open(obsPath)
-	if err != nil {
-		return err
-	}
-	//lint:ignore errdrop read-side close; there are no buffered writes to lose
-	defer f.Close()
-	if err := cal.Replay(f, inj); err != nil {
-		return err
-	}
-	return cal.Report().Render(os.Stdout)
 }

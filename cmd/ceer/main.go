@@ -572,8 +572,12 @@ func renderExplanation(comp *ceer.CompiledSystem, g *ceer.Graph, cfg ceer.Instan
 	if err != nil {
 		return err
 	}
+	marker := ""
+	if ex.Degraded != "" {
+		marker = " †"
+	}
 	tbl := &textutil.Table{
-		Title:  fmt.Sprintf("Attribution: %s on %s", g.Name, cfg),
+		Title:  fmt.Sprintf("Attribution: %s on %s%s", g.Name, cfg, marker),
 		Header: []string{"operation", "class", "instances", "ms/iter", "share"},
 	}
 	for i, c := range ex.Contributions {
@@ -585,6 +589,9 @@ func renderExplanation(comp *ceer.CompiledSystem, g *ceer.Graph, cfg ceer.Instan
 	}
 	tbl.AddNote("communication overhead: %s ms (%s of the iteration)",
 		textutil.Ms(ex.Iter.CommSeconds), textutil.Pct(ex.CommShare))
+	if ex.Degraded != "" {
+		tbl.AddNote("† %s trained on partial coverage: %s", cfg.GPU, ex.Degraded)
+	}
 	return tbl.Render(os.Stdout)
 }
 

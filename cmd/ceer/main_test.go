@@ -76,6 +76,27 @@ func TestCmdZoo(t *testing.T) {
 	}
 }
 
+// TestPredictExplainDegraded: `ceer predict -explain` over a sweep
+// explains every row the table prints, the degraded G3 rows without
+// their missing comm term and marked † with the reason.
+func TestPredictExplainDegraded(t *testing.T) {
+	path := degradedModels(t)
+	out := captureStdout(t, func() error {
+		return cmdPredict([]string{"-models", path, "-model", "resnet-50", "-explain"})
+	})
+	if got, want := bytes.Count(out, []byte("Attribution: resnet-50 on ")), len(ceer.AllConfigs(4)); got != want {
+		t.Errorf("printed %d attributions, want %d:\n%s", got, want, out)
+	}
+	for _, wantLine := range []string{"Attribution: resnet-50 on 1xG3 †", "† Tesla M60 trained on partial coverage:"} {
+		if !bytes.Contains(out, []byte(wantLine)) {
+			t.Errorf("explanations lack %q:\n%s", wantLine, out)
+		}
+	}
+	if bytes.Contains(out, []byte("on 1xP3 †")) {
+		t.Errorf("a clean device's attribution is marked degraded:\n%s", out)
+	}
+}
+
 func TestRenderExplanationSmoke(t *testing.T) {
 	quietStdout(t)
 	sys, err := ceer.Train(ceer.TrainOptions{Seed: 4, ProfileIterations: 20, CommIterations: 5})
@@ -125,11 +146,10 @@ func captureStdout(t *testing.T, f func() error) []byte {
 	return b
 }
 
-// TestPredictDegradedSweep: on a predictor whose G3 device lost every
-// campaign cell (and so its comm models), `ceer predict` sweeps answer
-// instead of failing: -json prints the daemon's bytes, and the table
-// marks the G3 rows † with recommend's footnote.
-func TestPredictDegradedSweep(t *testing.T) {
+// degradedModels trains a predictor whose G3 device lost every campaign
+// cell (and so its comm models) and saves it, returning the file.
+func degradedModels(t *testing.T) string {
+	t.Helper()
 	sys, err := ceer.Train(ceer.TrainOptions{
 		Seed: 4, ProfileIterations: 20, CommIterations: 5,
 		Faults: &ceer.FaultSpec{Seed: 5, PermanentDevices: []string{"m60"}},
@@ -148,6 +168,15 @@ func TestPredictDegradedSweep(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestPredictDegradedSweep: on a predictor whose G3 device lost every
+// campaign cell (and so its comm models), `ceer predict` sweeps answer
+// instead of failing: -json prints the daemon's bytes, and the table
+// marks the G3 rows † with recommend's footnote.
+func TestPredictDegradedSweep(t *testing.T) {
+	path := degradedModels(t)
 	loaded, err := ceer.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -445,14 +445,10 @@ func (c *CompiledPredictor) candidate(gi int, g *graph.Graph, cfg cloud.Config, 
 	if di < 0 {
 		return Candidate{}, fmt.Errorf("ceer: device %s is not in the compiled set", cfg.GPU)
 	}
-	cand := Candidate{Feasible: true, Degraded: c.meta[di].degraded}
-	v := Full
-	if cand.Degraded != "" && !c.hasCommModel(di, cfg.K) {
-		// A degraded device may lack its comm model for this k:
-		// predict without the comm term and disqualify the candidate
-		// instead of aborting the sweep.
-		v, cand.Feasible = NoComm, false
-	}
+	// A candidate predicted without its comm term is disqualified
+	// instead of aborting the sweep.
+	v, degraded := c.sweepVariant(di, cfg.K)
+	cand := Candidate{Feasible: v == Full, Degraded: degraded}
 	iter, err := c.assemble(gi, di, cfg.K, v, c.sums[gi*c.nd+di])
 	if err != nil {
 		return Candidate{}, err
@@ -461,6 +457,19 @@ func (c *CompiledPredictor) candidate(gi int, g *graph.Graph, cfg cloud.Config, 
 		return Candidate{}, err
 	}
 	return cand, nil
+}
+
+// sweepVariant is how a sweep predicts device di on k GPUs, and the
+// device's degraded reason ("" = clean): the full prediction of
+// Eq. (2), except that a degraded device without a communication model
+// for k is predicted NoComm rather than failing. Candidates and
+// explanations both follow it.
+func (c *CompiledPredictor) sweepVariant(di, k int) (Variant, string) {
+	degraded := c.meta[di].degraded
+	if degraded != "" && !c.hasCommModel(di, k) {
+		return NoComm, degraded
+	}
+	return Full, degraded
 }
 
 // ForGraph returns a compiled predictor that covers g: the receiver

@@ -33,6 +33,8 @@ type Explanation struct {
 	Contributions []TypeContribution
 	// CommShare is the communication overhead's share of the iteration.
 	CommShare float64
+	// Degraded is the device's partial-coverage reason ("" = clean).
+	Degraded string
 }
 
 // ExplainIteration predicts one training iteration and attributes the
@@ -40,9 +42,17 @@ type Explanation struct {
 // companion to PredictIteration (used by `ceer predict -explain` and
 // /v1/explain). Each class is attributed its count times the table's
 // per-(device, class) time, so the attribution reads the same table as
-// the prediction; use ExplainNodes for a per-node breakdown.
+// the prediction; use ExplainNodes for a per-node breakdown. The
+// iteration is predicted the way a sweep predicts it, so a degraded
+// device without a communication model for k is explained without the
+// comm term.
 func (c *CompiledPredictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*Explanation, error) {
-	iter, err := c.PredictIteration(g, m, k, Full)
+	v, degraded := Full, ""
+	di := c.deviceIndex(m)
+	if di >= 0 {
+		v, degraded = c.sweepVariant(di, k)
+	}
+	iter, err := c.PredictIteration(g, m, k, v)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +62,7 @@ func (c *CompiledPredictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*
 	}
 	byType := make(map[ops.Type]*acc)
 	classes := c.fold.Classes()
-	base := c.deviceIndex(m) * c.nc
+	base := di * c.nc
 	for _, pc := range c.fold.PerGraph(c.fold.GraphIndex(g)) {
 		t := classes[pc.Class].Rep.Op.Type
 		a := byType[t]
@@ -63,7 +73,7 @@ func (c *CompiledPredictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*
 		a.count += pc.Count
 		a.seconds += float64(pc.Count) * c.times[base+pc.Class]
 	}
-	ex := &Explanation{Iter: iter}
+	ex := &Explanation{Iter: iter, Degraded: degraded}
 	total := iter.PerIterSeconds
 	for t, a := range byType {
 		tc := TypeContribution{

@@ -4,12 +4,11 @@
 // materializing every training row and then solving, the normal
 // equations XᵀX β = Xᵀy are accumulated one observation at a time, so
 // the same machinery serves the batch campaign (Fit is now a thin
-// wrapper), incremental rank-1 calibration updates from live
-// observations, and map-reduce-style Merge of independently
-// accumulated shards. A byte-stable state codec (State /
-// RestoreSuffStats) mirrors the trace accumulator codec, so sufficient
-// statistics persist alongside fitted coefficients and a restored
-// accumulator continues exactly where the saved one stopped.
+// wrapper) and incremental rank-1 calibration updates from live
+// observations. A byte-stable state codec (State / RestoreSuffStats)
+// mirrors the trace accumulator codec, so sufficient statistics
+// persist alongside fitted coefficients and a restored accumulator
+// continues exactly where the saved one stopped.
 //
 // The accumulation arithmetic — feature normalization, polynomial
 // expansion, the upper-triangle products, and their summation order —
@@ -179,52 +178,6 @@ func (s *SuffStats) Add(x []float64, y float64) {
 	s.sumY += y
 	s.sumY2 += y * y
 	s.n++
-}
-
-// AddBatch folds a batch of observations, in order. All rows must have
-// NumFeatures entries.
-func (s *SuffStats) AddBatch(xs [][]float64, ys []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("regress: %d feature rows but %d targets", len(xs), len(ys))
-	}
-	for i, x := range xs {
-		if len(x) != s.nf {
-			return fmt.Errorf("regress: row %d has %d features, want %d", i, len(x), s.nf)
-		}
-		s.Add(x, ys[i])
-	}
-	return nil
-}
-
-// Merge folds another accumulator's statistics into s. Both must have
-// the same shape — degree, feature count, and bit-identical scale
-// divisors (normalized rows from different scales are not summable).
-// The residual window is merged by replaying o's window entries in
-// order (oldest first), as if its residuals had been observed on s.
-func (s *SuffStats) Merge(o *SuffStats) error {
-	if o.degree != s.degree || o.nf != s.nf {
-		return fmt.Errorf("regress: merging suffstats of shape (%d features, degree %d) into (%d, %d)",
-			o.nf, o.degree, s.nf, s.degree)
-	}
-	for i := range s.scale {
-		if math.Float64bits(s.scale[i]) != math.Float64bits(o.scale[i]) {
-			return fmt.Errorf("regress: merging suffstats with different scale at feature %d", i)
-		}
-	}
-	for i := range s.xtx {
-		s.xtx[i] += o.xtx[i]
-	}
-	for i := range s.xty {
-		s.xty[i] += o.xty[i]
-	}
-	s.sumY += o.sumY
-	s.sumY2 += o.sumY2
-	s.n += o.n
-	for _, r := range o.windowInOrder() {
-		s.addResidualValue(r)
-	}
-	s.resTotal += o.resTotal - len(o.res) // entries already evicted from o's window
-	return nil
 }
 
 // Solve fits the model from the accumulated statistics: Gaussian

@@ -9,7 +9,6 @@
 package regress
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -90,19 +89,4 @@ func RestoreSuffStats(st SuffStatsState) (*SuffStats, error) {
 	}
 	s.resTotal = st.ResTotal
 	return s, nil
-}
-
-// MarshalState encodes the accumulator's exact state as one compact
-// JSON value (single line, checkpoint-record friendly).
-func (s *SuffStats) MarshalState() ([]byte, error) {
-	return json.Marshal(s.State())
-}
-
-// UnmarshalState inverts MarshalState.
-func UnmarshalState(data []byte) (*SuffStats, error) {
-	var st SuffStatsState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("regress: decoding suffstats state: %w", err)
-	}
-	return RestoreSuffStats(st)
 }

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -142,132 +143,20 @@ func TestFitStatsAgreesWithFit(t *testing.T) {
 	}
 }
 
-// TestSuffStatsAddBatch checks AddBatch equals per-row Add and rejects
-// shape errors without partial mutation of the valid prefix count.
-func TestSuffStatsAddBatch(t *testing.T) {
-	xs, ys := synthRows(11, 2, 20)
-	scale := scaleFor(xs)
-	a := mustStats(t, 2, 2, scale)
-	b := mustStats(t, 2, 2, scale)
-	for i := range xs {
-		a.Add(xs[i], ys[i])
-	}
-	if err := b.AddBatch(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustState(t, a), mustState(t, b)) {
-		t.Error("AddBatch state differs from per-row Add")
-	}
-	if err := b.AddBatch(xs[:2], ys[:3]); err == nil || !strings.Contains(err.Error(), "feature rows but") {
-		t.Errorf("AddBatch length mismatch error = %v", err)
-	}
-	if err := b.AddBatch([][]float64{{1}}, []float64{1}); err == nil || !strings.Contains(err.Error(), "features, want") {
-		t.Errorf("AddBatch width mismatch error = %v", err)
-	}
-}
-
-// relClose reports |a-b| within a relative tolerance of |b| (absolute
-// when b is tiny).
-func relClose(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	if m := math.Abs(b); m > 1 {
-		return d <= tol*m
-	}
-	return d <= tol
-}
-
-// TestSuffStatsMerge pins shard-and-merge equivalence: accumulating two
-// halves independently (same scale) and merging matches the single
-// sequential accumulation to ≤1e-12 relative (summation association
-// differs, so bit-equality is not expected), with counts and the
-// residual window matching exactly.
-func TestSuffStatsMerge(t *testing.T) {
-	xs, ys := synthRows(23, 3, 48)
-	scale := scaleFor(xs)
-	whole := mustStats(t, 3, 2, scale)
-	whole.SetResidualWindowCap(8)
-	left := mustStats(t, 3, 2, scale)
-	left.SetResidualWindowCap(8)
-	right := mustStats(t, 3, 2, scale)
-	right.SetResidualWindowCap(8)
-	half := len(xs) / 2
-	for i := range xs {
-		whole.Add(xs[i], ys[i])
-		whole.AddResidual(ys[i]*1.01, ys[i])
-		if i < half {
-			left.Add(xs[i], ys[i])
-			left.AddResidual(ys[i]*1.01, ys[i])
-		} else {
-			right.Add(xs[i], ys[i])
-			right.AddResidual(ys[i]*1.01, ys[i])
-		}
-	}
-	if err := left.Merge(right); err != nil {
-		t.Fatal(err)
-	}
-	ws, ls := whole.State(), left.State()
-	if ls.N != ws.N || ls.ResTotal != ws.ResTotal || len(ls.Residuals) != len(ws.Residuals) {
-		t.Fatalf("merged counts differ: n=%d/%d resTotal=%d/%d window=%d/%d",
-			ls.N, ws.N, ls.ResTotal, ws.ResTotal, len(ls.Residuals), len(ws.Residuals))
-	}
-	for i := range ws.Residuals {
-		if !eqExact(ls.Residuals[i], ws.Residuals[i]) {
-			t.Errorf("merged residual window[%d] = %v, want %v", i, ls.Residuals[i], ws.Residuals[i])
-		}
-	}
-	for i := range ws.XTX {
-		if !relClose(ls.XTX[i], ws.XTX[i], 1e-12) {
-			t.Errorf("merged xtx[%d] = %v, want %v", i, ls.XTX[i], ws.XTX[i])
-		}
-	}
-	for i := range ws.XTY {
-		if !relClose(ls.XTY[i], ws.XTY[i], 1e-12) {
-			t.Errorf("merged xty[%d] = %v, want %v", i, ls.XTY[i], ws.XTY[i])
-		}
-	}
-	if !relClose(ls.SumY, ws.SumY, 1e-12) || !relClose(ls.SumY2, ws.SumY2, 1e-12) {
-		t.Errorf("merged moments diverge: sumY %v/%v sumY2 %v/%v", ls.SumY, ws.SumY, ls.SumY2, ws.SumY2)
-	}
-	mw, err := whole.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := left.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mw.Coef {
-		if !relClose(ml.Coef[i], mw.Coef[i], 1e-9) {
-			t.Errorf("merged solve coef[%d] = %v, want %v", i, ml.Coef[i], mw.Coef[i])
-		}
-	}
-}
-
-// TestSuffStatsMergeErrors rejects shape and scale mismatches.
-func TestSuffStatsMergeErrors(t *testing.T) {
-	a := mustStats(t, 2, 1, []float64{1, 2})
-	b := mustStats(t, 2, 2, []float64{1, 2})
-	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "shape") {
-		t.Errorf("degree mismatch error = %v", err)
-	}
-	c := mustStats(t, 2, 1, []float64{1, 3})
-	if err := a.Merge(c); err == nil || !strings.Contains(err.Error(), "scale") {
-		t.Errorf("scale mismatch error = %v", err)
-	}
-}
-
+// mustState encodes the accumulator's state the way persist does.
 func mustState(t *testing.T, s *SuffStats) []byte {
 	t.Helper()
-	data, err := s.MarshalState()
+	data, err := json.Marshal(s.State())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-// TestSuffStatsStateRoundTrip pins the codec contract: marshal →
-// unmarshal → marshal is byte-stable, and a restored accumulator
-// continues bit-identically to the original.
+// TestSuffStatsStateRoundTrip pins the codec contract on persist's own
+// path, State then JSON then RestoreSuffStats: encode → decode → encode
+// is byte-stable, and a restored accumulator continues bit-identically
+// to the original.
 func TestSuffStatsStateRoundTrip(t *testing.T) {
 	xs, ys := synthRows(31, 2, 30)
 	s := mustStats(t, 2, 2, scaleFor(xs))
@@ -277,7 +166,11 @@ func TestSuffStatsStateRoundTrip(t *testing.T) {
 		s.AddResidual(ys[i]*0.9, ys[i])
 	}
 	data := mustState(t, s)
-	restored, err := UnmarshalState(data)
+	var st SuffStatsState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSuffStats(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +228,6 @@ func TestSuffStatsStateErrors(t *testing.T) {
 		if _, err := RestoreSuffStats(st); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want substring %q", tc.name, err, tc.want)
 		}
-	}
-	if _, err := UnmarshalState([]byte("{")); err == nil || !strings.Contains(err.Error(), "decoding suffstats state") {
-		t.Errorf("truncated JSON error = %v", err)
 	}
 }
 

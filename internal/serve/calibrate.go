@@ -110,10 +110,9 @@ func (s *Server) initCalibration(sys *ceer.System, co *CalibrationOptions) error
 		}
 		cl.journal = j
 		s.met.srv.calibObs.Add(uint64(j.Replayed))
-		// Replayed refits staged new tables; validate and install them
-		// exactly as the live loop would have.
-		s.maybeInstallCalibrated()
-		s.updateDriftGauge()
+		// The replay is one batch: its refits staged new tables, which
+		// install exactly as the live loop would have.
+		s.settleCalibration(cal.Report())
 	}
 	return nil
 }
@@ -128,16 +127,26 @@ func (s *Server) JournalReplayed() (obs, tornLine int) {
 	return s.calib.journal.Replayed, s.calib.journal.Torn
 }
 
-// maybeInstallCalibrated publishes a newly staged calibration table —
-// if it passes the golden probe against the serving tables. Rejected
-// tables keep the old generation serving and count calib_swap_rejected.
-func (s *Server) maybeInstallCalibrated() {
+// settleCalibration runs after every batch of observations: a POST
+// body, the boot journal replay, or one tail poll. It publishes the
+// newest staged table if it passes the golden probe against the serving
+// tables, and sets drifted_cells from rep, the calibrator's report at
+// the end of the batch. A rejected table keeps the old generation
+// serving and counts calib_swap_rejected; it is not probed again.
+func (s *Server) settleCalibration(rep ceer.CalibrationReport) {
+	drifted := int64(0)
+	for i := range rep.Cells {
+		if rep.Cells[i].Drifted {
+			drifted++
+		}
+	}
+	s.met.srv.driftedCells.Store(drifted)
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	cur := s.calib.staging.Load()
 	if cur == s.calib.lastStaged {
 		return
 	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
 	s.calib.lastStaged = cur
 	if err := s.probe(cur); err != nil {
 		s.met.srv.calibSwapsRejected.Add(1)
@@ -148,22 +157,6 @@ func (s *Server) maybeInstallCalibrated() {
 	}
 	s.met.srv.calibSwaps.Add(1)
 	s.install(cur)
-}
-
-// updateDriftGauge refreshes the drifted-cells gauge from the
-// calibrator's report. Callers need not hold cl.mu exactly — the gauge
-// is advisory.
-func (s *Server) updateDriftGauge() {
-	s.calib.mu.Lock()
-	rep := s.calib.cal.Report()
-	s.calib.mu.Unlock()
-	drifted := int64(0)
-	for i := range rep.Cells {
-		if rep.Cells[i].Drifted {
-			drifted++
-		}
-	}
-	s.met.srv.driftedCells.Store(drifted)
 }
 
 // handleObserve is POST /v1/observe: a JSONL body of observations,
@@ -227,14 +220,7 @@ func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 	cl.mu.Unlock()
 
 	s.met.srv.calibObs.Add(uint64(accepted))
-	s.maybeInstallCalibrated()
-	drifted := int64(0)
-	for i := range after.Cells {
-		if after.Cells[i].Drifted {
-			drifted++
-		}
-	}
-	s.met.srv.driftedCells.Store(drifted)
+	s.settleCalibration(after)
 	if ingestErr != nil {
 		return ObserveResponse{}, ingestErr
 	}
@@ -279,7 +265,8 @@ func (s *Server) SaveCalibrated(w io.Writer) error {
 
 // TailObsLog follows a growing observation log, feeding each complete
 // appended line through the same journal→calibrate path as POST
-// /v1/observe (the optional obs-log tail mode). Malformed lines are
+// /v1/observe (the optional obs-log tail mode). The lines one poll
+// reads are one batch, settled like a POST body. Malformed lines are
 // counted and dropped — a poisoned stream degrades calibration, never
 // serving — and lines arriving while degraded are shed. An incomplete
 // final line waits for its terminator. Returns nil when ctx ends or
@@ -336,35 +323,37 @@ func (s *Server) tailChunk(path string, off *int64) error {
 	}
 	grown = grown[:bytes.LastIndexByte(grown, '\n')+1]
 	*off += int64(len(grown))
-	for _, line := range bytes.Split(grown, []byte("\n")) {
-		if line = bytes.TrimSpace(line); len(line) > 0 {
-			s.tailApply(line)
-		}
-	}
+	s.tailApply(grown)
 	return nil
 }
 
-// tailApply parses and applies one complete tailed line, dropping (and
-// counting) malformed or shed observations.
-func (s *Server) tailApply(line []byte) {
-	o, err := trace.DecodeObs(line)
-	if err != nil {
-		s.met.srv.calibDropped.Add(1)
-		return
+// tailApply applies one poll's complete lines as one batch, like a POST
+// body, dropping (and counting) malformed or shed observations.
+func (s *Server) tailApply(grown []byte) {
+	cl := s.calib
+	cl.mu.Lock()
+	for _, line := range bytes.Split(grown, []byte("\n")) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		o, err := trace.DecodeObs(line)
+		if err != nil {
+			s.met.srv.calibDropped.Add(1)
+			continue
+		}
+		if s.healthState(s.clock.Nanos()) == stateDegraded {
+			s.met.srv.calibShed.Add(1)
+			continue
+		}
+		if err := cl.apply(o); err != nil {
+			s.met.srv.calibDropped.Add(1)
+			continue
+		}
+		s.met.srv.calibObs.Add(1)
 	}
-	if s.healthState(s.clock.Nanos()) == stateDegraded {
-		s.met.srv.calibShed.Add(1)
-		return
-	}
-	s.calib.mu.Lock()
-	err = s.calib.apply(o)
-	s.calib.mu.Unlock()
-	if err != nil {
-		s.met.srv.calibDropped.Add(1)
-		return
-	}
-	s.met.srv.calibObs.Add(1)
-	s.maybeInstallCalibrated()
+	rep := cl.cal.Report()
+	cl.mu.Unlock()
+	s.settleCalibration(rep)
 }
 
 // close flushes and closes the journal (clean drain).

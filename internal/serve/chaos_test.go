@@ -578,6 +578,76 @@ func TestTailObsLog(t *testing.T) {
 	}
 }
 
+// TestTailSettlesLikePost: observations tailed from a log settle like
+// the same lines POSTed as one body. A poll is one batch, so the tailing
+// daemon installs once per poll, not once per line, and it reports the
+// same drifted_cells. Under the first policy cells drift but never
+// refit; under the second, drift refits, every staged table passes the
+// probe, and the refits clear the drift.
+func TestTailSettlesLikePost(t *testing.T) {
+	lines := scaleObs(t, testObsLines(t, 2000), 1.6)
+	cases := []struct {
+		name    string
+		opts    Options
+		drifted bool // cells still drifted after the batch
+	}{
+		{"drift-only", Options{Calibration: &CalibrationOptions{Policy: ceer.CalibrationPolicy{MinRefitObs: 1 << 30}}}, true},
+		{"refits", Options{ReloadTolerance: 1e9, Calibration: &CalibrationOptions{}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			posted := newTestServer(t, tc.opts)
+			gen0 := posted.Generation()
+			postObserve(t, posted, obsBody(lines), http.StatusOK)
+
+			path := filepath.Join(t.TempDir(), "obs.jsonl")
+			if err := os.WriteFile(path, obsBody(lines), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tailed := newTestServer(t, tc.opts)
+			ctx, cancel := context.WithCancel(context.Background())
+			tailDone := make(chan error, 1)
+			go func() { tailDone <- tailed.TailObsLog(ctx, path, time.Millisecond) }()
+			deadline := time.Now().Add(10 * time.Second)
+			for tailed.met.srv.calibObs.Load() < uint64(len(lines)) {
+				if time.Now().After(deadline) {
+					t.Fatalf("tail applied %d observations, want %d", tailed.met.srv.calibObs.Load(), len(lines))
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			// TailObsLog returns only between polls, so the poll that
+			// applied the lines has settled.
+			cancel()
+			if err := <-tailDone; err != nil {
+				t.Fatalf("TailObsLog: %v", err)
+			}
+
+			var want, got bytes.Buffer
+			if err := posted.SaveCalibrated(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := tailed.SaveCalibrated(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Error("tailed calibrated predictor differs from the POSTed one")
+			}
+			pd := getJSON(t, posted, "/healthz", "", http.StatusOK)["drifted_cells"]
+			td := getJSON(t, tailed, "/healthz", "", http.StatusOK)["drifted_cells"]
+			if pd != td || (pd != 0.0) != tc.drifted {
+				t.Errorf("drifted_cells: tailed %v, POSTed %v (want equal, nonzero %v)", td, pd, tc.drifted)
+			}
+			pg, tg := posted.Generation(), tailed.Generation()
+			if pg != tg {
+				t.Errorf("generation: tailed %d, POSTed %d", tg, pg)
+			}
+			if advanced := pg != gen0; advanced == tc.drifted {
+				t.Errorf("POSTed generation %d → %d; want it to advance only where refits clear the drift", gen0, pg)
+			}
+		})
+	}
+}
+
 // TestReloadHammer pounds /admin/reload with reject→accept cycles
 // while prediction traffic flows: every admin response is an accept
 // (200) or a typed rejection (422), prediction traffic never sees a

@@ -3,7 +3,7 @@ package serve
 import "time"
 
 // Clock is the daemon's only time source: admission refill, request
-// deadlines, latency metrics, and load-generator pacing all read
+// deadlines, latency metrics and the health breaker all read
 // monotonic nanoseconds from it. Injecting a virtual clock makes every
 // time-dependent behaviour (token refill, 429 shedding, 504 budgets)
 // deterministic in tests — the same reason the simulator owns its own

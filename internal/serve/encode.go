@@ -293,6 +293,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 		CommS:     ex.Iter.CommSeconds,
 		IterS:     ex.Iter.PerIterSeconds,
 		CommShare: ex.CommShare,
+		Degraded:  ex.Degraded,
 	}
 	for _, t := range ex.Iter.UnseenHeavy {
 		resp.UnseenHeavy = append(resp.UnseenHeavy, string(t))

@@ -1,28 +1,21 @@
-// Package loadgen is the daemon's deterministic load generator: it
-// synthesizes a request stream under the repository's seeded rng stream
-// discipline, drives a target (in-process http.Handler or live HTTP
-// server) in closed-loop (fixed workers, back-to-back) or open-loop
-// (Poisson arrival schedule) mode, and records per-request outcomes and
-// latencies by request index.
+// Package loadgen is the daemon's deterministic request stream: it
+// synthesizes the read mix under the repository's seeded rng stream
+// discipline, with the Poisson arrival schedule of an open-loop run.
+// perfbench replays the stream against the live daemon and measures it;
+// HandlerTarget answers a prepared request in-process, reducing the body
+// to an Outcome, so a served response can be checked without keeping it.
 //
-// Determinism contract: the generated ops, and every request's
-// response (status, body length, body hash), are pure functions of the
-// Spec — independent of worker count or interleaving. Each op derives
-// its own rng stream from (seed, index), so op i is the same whether
-// one worker or sixteen execute the run; only latencies (wall-clock
-// measurements) vary. TestLoadgenWorkerInvariance pins this.
+// Determinism contract: the generated ops and arrival offsets are pure
+// functions of their seed. Each op derives its own rng stream from
+// (seed, index), so op i is the same whatever the stream length and
+// whichever requests run first.
 package loadgen
 
 import (
-	"hash/fnv"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ceer/internal/rng"
 )
@@ -47,22 +40,15 @@ type Spec struct {
 	// the full candidate sweep. ~half the predicts draw a config when
 	// the list is non-empty.
 	Configs []string
-	// PredictShare is the fraction of predict ops (default 0.65; the
-	// rest are recommends).
-	PredictShare float64
-	// MarketShare is the fraction of ops priced at market ratios
-	// (default 0.2).
-	MarketShare float64
-	// ChaosPanicShare is the fraction of predict ops carrying
-	// `chaos=panic` — the chaos suite's deterministic fault schedule
-	// against a daemon built with -tags chaosserve (production builds
-	// answer 400 "unknown parameter"). The chaos draws come from their
-	// own derived sub-stream, so turning the schedule on or off leaves
-	// every other field of every op unchanged, and which ops are faulted
-	// is a pure function of (Seed, index) — worker-count invariant like
-	// everything else.
-	ChaosPanicShare float64
 }
+
+const (
+	// predictShare is the fraction of predict ops; the rest are
+	// recommends.
+	predictShare = 0.65
+	// marketShare is the fraction of ops priced at market ratios.
+	marketShare = 0.2
+)
 
 // streamSalt labels the loadgen's derivation domain so its streams are
 // independent of the simulator's (same discipline as internal/sim).
@@ -75,19 +61,7 @@ func Generate(spec Spec) []Op {
 	if spec.Requests <= 0 || len(spec.Models) == 0 {
 		return nil
 	}
-	predictShare := spec.PredictShare
-	if predictShare == 0 {
-		predictShare = 0.65
-	}
-	marketShare := spec.MarketShare
-	if marketShare == 0 {
-		marketShare = 0.2
-	}
 	root := rng.New(spec.Seed).Derive(streamSalt)
-	// The fault schedule derives from its own sub-stream (streamSalt+2;
-	// +1 is the Poisson arrival stream) so it never perturbs the op
-	// draws above.
-	chaosRoot := rng.New(spec.Seed).Derive(streamSalt + 2)
 	ops := make([]Op, spec.Requests)
 	for i := range ops {
 		r := root.Derive(uint64(i))
@@ -99,9 +73,6 @@ func Generate(spec Spec) []Op {
 		if r.Float64() < predictShare {
 			if len(spec.Configs) > 0 && r.Float64() < 0.5 {
 				q += "&config=" + spec.Configs[r.Intn(len(spec.Configs))]
-			}
-			if spec.ChaosPanicShare > 0 && chaosRoot.Derive(uint64(i)).Float64() < spec.ChaosPanicShare {
-				q += "&chaos=panic"
 			}
 			ops[i] = Op{Method: http.MethodGet, Path: "/v1/predict", RawQuery: q}
 		} else {
@@ -128,18 +99,29 @@ func Prepare(ops []Op) []*http.Request {
 	return reqs
 }
 
+// PoissonArrivals returns a cumulative Poisson arrival schedule
+// (nanosecond offsets from run start) at the given rate, derived
+// deterministically from the seed.
+func PoissonArrivals(seed uint64, ratePerSec float64, n int) []int64 {
+	r := rng.New(seed).Derive(streamSalt + 1)
+	out := make([]int64, n)
+	var t float64
+	for i := range out {
+		u := r.Float64()
+		// Inverse-CDF exponential interarrival; 1-u is in (0, 1].
+		t += -math.Log(1-u) / ratePerSec * 1e9
+		out[i] = int64(t)
+	}
+	return out
+}
+
 // Outcome is a request's deterministic result: status code, body
-// length, and FNV-64a body hash (the equality witness for the
-// worker-invariance contract without retaining bodies).
+// length, and FNV-64a body hash (the equality witness for a served
+// body without retaining it).
 type Outcome struct {
 	Status   int
 	BodyLen  int
 	BodyHash uint64
-}
-
-// Target executes one prepared request.
-type Target interface {
-	Do(i int, req *http.Request) Outcome
 }
 
 // hashWriter is a ResponseWriter that hashes the body instead of
@@ -179,8 +161,9 @@ func (w *hashWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// HandlerTarget drives an http.Handler in-process (no sockets): the
-// daemon's raw-Handler benchmark mode. Writers are pooled per worker.
+// HandlerTarget drives an http.Handler in-process (no sockets). It is
+// safe for concurrent use: writers are pooled, one per caller at a
+// time.
 type HandlerTarget struct {
 	h    http.Handler
 	pool sync.Pool
@@ -193,6 +176,8 @@ func NewHandlerTarget(h http.Handler) *HandlerTarget {
 	return t
 }
 
+// Do serves one prepared request and reduces the response to its
+// Outcome. The index is unused.
 func (t *HandlerTarget) Do(_ int, req *http.Request) Outcome {
 	w := t.pool.Get().(*hashWriter)
 	w.reset()
@@ -200,167 +185,4 @@ func (t *HandlerTarget) Do(_ int, req *http.Request) Outcome {
 	out := Outcome{Status: w.status, BodyLen: w.n, BodyHash: w.sum}
 	t.pool.Put(w)
 	return out
-}
-
-// HTTPTarget drives a live server (httptest or a real listener) over
-// TCP with a shared http.Client.
-type HTTPTarget struct {
-	Base   string // e.g. "http://127.0.0.1:8080"
-	Client *http.Client
-}
-
-func (t *HTTPTarget) Do(_ int, req *http.Request) Outcome {
-	c := t.Client
-	if c == nil {
-		c = http.DefaultClient
-	}
-	resp, err := c.Get(t.Base + req.URL.Path + "?" + req.URL.RawQuery)
-	if err != nil {
-		return Outcome{Status: 0}
-	}
-	h := fnv.New64a()
-	n, _ := io.Copy(h, resp.Body) // hash is the only consumer; copy errors surface as a short BodyLen
-	if err := resp.Body.Close(); err != nil {
-		return Outcome{Status: 0}
-	}
-	return Outcome{Status: resp.StatusCode, BodyLen: int(n), BodyHash: h.Sum64()}
-}
-
-// Result is one run's record: per-request outcomes and latencies by
-// request index, plus the run's wall-clock span.
-type Result struct {
-	Outcomes []Outcome
-	LatNanos []int64
-	Elapsed  time.Duration
-}
-
-// Throughput returns completed requests per second.
-func (r *Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(len(r.Outcomes)) / r.Elapsed.Seconds()
-}
-
-// Percentiles returns the p50/p99/p999 latencies in microseconds
-// (nearest-rank over a sorted copy).
-func (r *Result) Percentiles() (p50, p99, p999 float64) {
-	if len(r.LatNanos) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]int64(nil), r.LatNanos...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) float64 {
-		rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= len(sorted) {
-			rank = len(sorted) - 1
-		}
-		return float64(sorted[rank]) / 1e3
-	}
-	return at(0.50), at(0.99), at(0.999)
-}
-
-// Shed counts 429 outcomes.
-func (r *Result) Shed() int {
-	n := 0
-	for _, o := range r.Outcomes {
-		if o.Status == http.StatusTooManyRequests {
-			n++
-		}
-	}
-	return n
-}
-
-// RunClosed executes the prepared requests closed-loop: `workers`
-// goroutines pull the next unexecuted index from a shared counter and
-// issue back-to-back. Outcomes land at their request's index, so the
-// result stream is worker-count invariant.
-func RunClosed(t Target, reqs []*http.Request, workers int) *Result {
-	if workers < 1 {
-		workers = 1
-	}
-	res := &Result{
-		Outcomes: make([]Outcome, len(reqs)),
-		LatNanos: make([]int64, len(reqs)),
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	startAll := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				t0 := time.Now()
-				res.Outcomes[i] = t.Do(i, reqs[i])
-				res.LatNanos[i] = time.Since(t0).Nanoseconds()
-			}
-		}()
-	}
-	wg.Wait()
-	res.Elapsed = time.Since(startAll)
-	return res
-}
-
-// PoissonArrivals returns a cumulative Poisson arrival schedule
-// (nanosecond offsets from run start) at the given rate, derived
-// deterministically from the seed.
-func PoissonArrivals(seed uint64, ratePerSec float64, n int) []int64 {
-	r := rng.New(seed).Derive(streamSalt + 1)
-	out := make([]int64, n)
-	var t float64
-	for i := range out {
-		u := r.Float64()
-		// Inverse-CDF exponential interarrival; 1-u is in (0, 1].
-		t += -math.Log(1-u) / ratePerSec * 1e9
-		out[i] = int64(t)
-	}
-	return out
-}
-
-// RunOpen executes the prepared requests open-loop against the arrival
-// schedule: a dispatcher releases request i at arrivals[i] (relative to
-// run start) regardless of completions, and `workers` goroutines drain
-// the release queue. Latency for request i is measured from its
-// scheduled arrival, so queueing delay under overload is included
-// (open-loop latency semantics). Outcomes are still index-addressed and
-// worker-count invariant.
-func RunOpen(t Target, reqs []*http.Request, arrivals []int64, workers int) *Result {
-	if workers < 1 {
-		workers = 1
-	}
-	res := &Result{
-		Outcomes: make([]Outcome, len(reqs)),
-		LatNanos: make([]int64, len(reqs)),
-	}
-	ch := make(chan int, len(reqs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				res.Outcomes[i] = t.Do(i, reqs[i])
-				res.LatNanos[i] = time.Since(start).Nanoseconds() - arrivals[i]
-			}
-		}()
-	}
-	for i := range reqs {
-		if d := time.Duration(arrivals[i]) - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	return res
 }

@@ -1,10 +1,11 @@
 package loadgen
 
 import (
+	"hash/fnv"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -94,111 +95,44 @@ func echoHandler() http.Handler {
 	})
 }
 
-// TestWorkerInvariance is the determinism contract: closed- and
-// open-loop runs produce identical per-index outcomes (status, body
-// length, body hash) for 1 worker and for many.
+// TestWorkerInvariance is the determinism contract of HandlerTarget:
+// each request's outcome (status, body length, body hash) depends on
+// the request alone, whether one goroutine or four share the target's
+// pooled writers.
 func TestWorkerInvariance(t *testing.T) {
-	ops := Generate(testSpec)
+	reqs := Prepare(Generate(testSpec))
 	target := NewHandlerTarget(echoHandler())
-
-	run1 := RunClosed(target, Prepare(ops), 1)
-	run4 := RunClosed(target, Prepare(ops), 4)
-	if !reflect.DeepEqual(run1.Outcomes, run4.Outcomes) {
-		t.Fatal("closed-loop outcomes differ between 1 and 4 workers")
-	}
-
-	arrivals := PoissonArrivals(testSpec.Seed, 200_000, len(ops))
-	open1 := RunOpen(target, Prepare(ops), arrivals, 1)
-	open4 := RunOpen(target, Prepare(ops), arrivals, 4)
-	if !reflect.DeepEqual(open1.Outcomes, open4.Outcomes) {
-		t.Fatal("open-loop outcomes differ between 1 and 4 workers")
-	}
-	if !reflect.DeepEqual(run1.Outcomes, open1.Outcomes) {
-		t.Fatal("closed vs open outcomes differ for the same ops")
-	}
-
-	if len(run1.LatNanos) != len(ops) {
-		t.Fatalf("latency records: %d, want %d", len(run1.LatNanos), len(ops))
-	}
-	if run1.Throughput() <= 0 {
-		t.Error("non-positive throughput")
-	}
-}
-
-// TestHTTPTarget runs the generated stream against a live HTTP server
-// and checks outcomes match the in-process handler target byte for
-// byte (status aside, the hash covers the body).
-func TestHTTPTarget(t *testing.T) {
-	h := echoHandler()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	ops := Generate(Spec{Seed: 5, Requests: 40, Models: []string{"alexnet"}})
-	local := RunClosed(NewHandlerTarget(h), Prepare(ops), 2)
-	remote := RunClosed(&HTTPTarget{Base: ts.URL, Client: ts.Client()}, Prepare(ops), 2)
-	if !reflect.DeepEqual(local.Outcomes, remote.Outcomes) {
-		t.Fatal("HTTP target outcomes diverge from in-process target")
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	r := &Result{LatNanos: make([]int64, 1000)}
-	for i := range r.LatNanos {
-		r.LatNanos[i] = int64((i + 1) * 1000) // 1..1000 µs
-	}
-	p50, p99, p999 := r.Percentiles()
-	if !eqExact(p50, 500) || !eqExact(p99, 990) || !eqExact(p999, 999) {
-		t.Errorf("percentiles = %v %v %v, want 500 990 999", p50, p99, p999)
-	}
-
-	empty := &Result{}
-	if a, b, c := empty.Percentiles(); a != 0 || b != 0 || c != 0 {
-		t.Error("empty result should report zeros")
-	}
-}
-
-// TestChaosScheduleIndependentStream: the fault schedule must be a
-// pure function of (Seed, index) on its own derived sub-stream —
-// enabling it marks a deterministic subset of predict ops and leaves
-// every other field of every op exactly as the fault-free stream had
-// it.
-func TestChaosScheduleIndependentStream(t *testing.T) {
-	plain := Generate(testSpec)
-	chaos := testSpec
-	chaos.ChaosPanicShare = 0.3
-	a, b := Generate(chaos), Generate(chaos)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two Generate calls with the same chaos spec diverge")
-	}
-	faulted := 0
-	for i, op := range a {
-		stripped := op
-		stripped.RawQuery = strings.TrimSuffix(op.RawQuery, "&chaos=panic")
-		if stripped.RawQuery != op.RawQuery {
-			faulted++
-			if op.Path != "/v1/predict" {
-				t.Fatalf("op %d: chaos=panic on %s; only predicts are faulted", i, op.Path)
-			}
+	run := func(workers int) []Outcome {
+		out := make([]Outcome, len(reqs))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(reqs); i += workers {
+					out[i] = target.Do(i, reqs[i])
+				}
+			}()
 		}
-		if !reflect.DeepEqual(stripped, plain[i]) {
-			t.Fatalf("op %d changed beyond the chaos marker:\n chaos: %+v\n plain: %+v", i, op, plain[i])
+		wg.Wait()
+		return out
+	}
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatal("outcomes differ between 1 and 4 workers")
+	}
+	for i, o := range one {
+		body := reqs[i].URL.Path + "?" + reqs[i].URL.RawQuery
+		h := fnv.New64a()
+		if _, err := h.Write([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		status := http.StatusOK
+		if strings.Contains(body, "pricing=market") {
+			status = http.StatusTeapot
+		}
+		if o != (Outcome{Status: status, BodyLen: len(body), BodyHash: h.Sum64()}) {
+			t.Fatalf("request %d: outcome %+v, want status %d over %q", i, o, status, body)
 		}
 	}
-	if faulted == 0 {
-		t.Fatal("ChaosPanicShare=0.3 faulted no ops")
-	}
-	if faulted == len(a) {
-		t.Fatal("every op faulted; want a fraction")
-	}
 }
-
-func TestShedCount(t *testing.T) {
-	r := &Result{Outcomes: []Outcome{{Status: 200}, {Status: 429}, {Status: 429}, {Status: 503}}}
-	if n := r.Shed(); n != 2 {
-		t.Errorf("Shed() = %d, want 2", n)
-	}
-}
-
-// eqExact compares floats exactly: nearest-rank percentiles over
-// integer-nanosecond inputs are integer-exact by construction.
-func eqExact(a, b float64) bool { return a == b }

@@ -108,7 +108,10 @@ type ContributionJSON struct {
 	Share   float64 `json:"share"`
 }
 
-// ExplainResponse is the /v1/explain document.
+// ExplainResponse is the /v1/explain document. Degraded explains
+// partial training coverage of the device; as in a sweep, a degraded
+// device that lacks the communication model for k is explained without
+// the comm term.
 type ExplainResponse struct {
 	CNN           string             `json:"cnn"`
 	GPU           string             `json:"gpu"`
@@ -120,6 +123,7 @@ type ExplainResponse struct {
 	IterS         float64            `json:"iter_s"`
 	CommShare     float64            `json:"comm_share"`
 	UnseenHeavy   []string           `json:"unseen_heavy,omitempty"`
+	Degraded      string             `json:"degraded,omitempty"`
 	Contributions []ContributionJSON `json:"contributions"`
 }
 

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"testing"
-
-	"ceer/internal/serve/loadgen"
-)
+import "testing"
 
 // BenchmarkServePredict measures the full-sweep /v1/predict hot path —
 // route, admission, parse, 17-candidate prediction, append-encoded
@@ -34,64 +30,6 @@ func BenchmarkServeRecommend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.ServeHTTP(w, req)
 	}
-}
-
-var benchSpec = loadgen.Spec{
-	Seed:     1,
-	Requests: 256,
-	Models:   []string{"alexnet", "resnet-50", "vgg-16", "inception-v3"},
-	Configs:  []string{"1xP2", "2xP3", "1xG4"},
-}
-
-// BenchmarkServeLoadgenClosed drives the daemon in-process with the
-// deterministic load generator in closed-loop mode (4 workers,
-// back-to-back) and reports latency percentiles and throughput — the
-// numbers recorded into BENCH_serve.json by `make bench-serve`.
-func BenchmarkServeLoadgenClosed(b *testing.B) {
-	s := warmServer(b)
-	target := loadgen.NewHandlerTarget(s)
-	reqs := loadgen.Prepare(loadgen.Generate(benchSpec))
-	var res *loadgen.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res = loadgen.RunClosed(target, reqs, 4)
-	}
-	b.StopTimer()
-	reportLoadgen(b, res)
-}
-
-// BenchmarkServeLoadgenOpen is the open-loop variant: Poisson arrivals
-// at 20k req/s, latency measured from scheduled arrival (queueing
-// delay included).
-func BenchmarkServeLoadgenOpen(b *testing.B) {
-	s := warmServer(b)
-	target := loadgen.NewHandlerTarget(s)
-	reqs := loadgen.Prepare(loadgen.Generate(benchSpec))
-	arrivals := loadgen.PoissonArrivals(benchSpec.Seed, 20_000, len(reqs))
-	var res *loadgen.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res = loadgen.RunOpen(target, reqs, arrivals, 4)
-	}
-	b.StopTimer()
-	reportLoadgen(b, res)
-}
-
-func reportLoadgen(b *testing.B, res *loadgen.Result) {
-	b.Helper()
-	if res == nil {
-		return
-	}
-	for i, o := range res.Outcomes {
-		if o.Status != 200 {
-			b.Fatalf("request %d: status %d", i, o.Status)
-		}
-	}
-	p50, p99, p999 := res.Percentiles()
-	b.ReportMetric(p50, "p50_us")
-	b.ReportMetric(p99, "p99_us")
-	b.ReportMetric(p999, "p999_us")
-	b.ReportMetric(res.Throughput(), "req_s")
 }
 
 // BenchmarkServeEncodePredict isolates the encoder: render the predict

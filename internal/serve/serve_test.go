@@ -304,48 +304,97 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainDegradedDevice: a degraded device without comm models is
+// explained the way the sweep predicts it, without the comm term and
+// with the reason the sweep prints.
+func TestExplainDegradedDevice(t *testing.T) {
+	sys := degradedSystem(t)
+	s, err := New(sys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reason, ok := sys.Predictor().Degraded(ceer.GPUModel("m60"))
+	if !ok {
+		t.Fatal("m60 is not degraded in the degraded test system")
+	}
+	m := getJSON(t, s, "/v1/explain", "model=resnet-50&gpu=m60", http.StatusOK)
+	if !jsonNumExact(m["comm_s"], 0) || !jsonNumExact(m["comm_share"], 0) {
+		t.Errorf("comm_s = %v, comm_share = %v; want 0 without a comm model", m["comm_s"], m["comm_share"])
+	}
+	if m["degraded"] != reason {
+		t.Errorf("degraded = %v, want %q", m["degraded"], reason)
+	}
+	if len(m["contributions"].([]any)) == 0 {
+		t.Error("no contributions")
+	}
+	clean := getJSON(t, s, "/v1/explain", "model=resnet-50&gpu=v100", http.StatusOK)
+	if _, ok := clean["degraded"]; ok {
+		t.Errorf("a clean device's explanation carries degraded: %v", clean["degraded"])
+	}
+}
+
 // TestExplainMatchesPredict: /v1/explain reads the same table as
-// /v1/predict, so for every zoo model × device × k ∈ {1,2,4} the
-// per-iteration fields print the same bytes on both endpoints.
+// /v1/predict and follows its sweep, so for every zoo model × device ×
+// k ∈ {1,2,4} the per-iteration fields and the degraded reason print
+// the same bytes on both endpoints. On the degraded predictor the G3
+// rows have no comm model, and both answer them without the comm term.
 func TestExplainMatchesPredict(t *testing.T) {
-	s := newTestServer(t, Options{})
-	fields := []string{"heavy_s", "light_s", "cpu_s", "comm_s", "iter_s"}
-	cells := 0
-	for _, model := range ceer.Models() {
-		for _, cfg := range ceer.AllConfigs(4) {
-			if cfg.K == 3 {
-				continue
+	systems := []struct {
+		name string
+		sys  func(testing.TB) *ceer.System
+	}{{"clean", testSystem}, {"degraded", degradedSystem}}
+	fields := []string{"heavy_s", "light_s", "cpu_s", "comm_s", "iter_s", "degraded"}
+	for _, sc := range systems {
+		t.Run(sc.name, func(t *testing.T) {
+			s, err := New(sc.sys(t), Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			pq := "model=" + model + "&config=" + cfg.String()
-			status, body := s.DoLocal(http.MethodGet, "/v1/predict", pq)
-			if status != http.StatusOK {
-				t.Fatalf("GET /v1/predict?%s: status %d: %s", pq, status, body)
-			}
-			var pdoc struct {
-				Predictions []map[string]json.RawMessage `json:"predictions"`
-			}
-			if err := json.Unmarshal(body, &pdoc); err != nil || len(pdoc.Predictions) != 1 {
-				t.Fatalf("GET /v1/predict?%s: %v\n%s", pq, err, body)
-			}
-			eq := fmt.Sprintf("model=%s&gpu=%s&k=%d", model, string(cfg.GPU), cfg.K)
-			status, body = s.DoLocal(http.MethodGet, "/v1/explain", eq)
-			if status != http.StatusOK {
-				t.Fatalf("GET /v1/explain?%s: status %d: %s", eq, status, body)
-			}
-			var edoc map[string]json.RawMessage
-			if err := json.Unmarshal(body, &edoc); err != nil {
-				t.Fatalf("GET /v1/explain?%s: %v\n%s", eq, err, body)
-			}
-			for _, f := range fields {
-				if got, want := edoc[f], pdoc.Predictions[0][f]; !bytes.Equal(got, want) {
-					t.Errorf("%s on %s: explain %s = %s, predict %s = %s", model, cfg, f, got, f, want)
+			cells := 0
+			for _, model := range ceer.Models() {
+				status, body := s.DoLocal(http.MethodGet, "/v1/predict", "model="+model)
+				if status != http.StatusOK {
+					t.Fatalf("GET /v1/predict?model=%s: status %d: %s", model, status, body)
+				}
+				var pdoc struct {
+					Predictions []map[string]json.RawMessage `json:"predictions"`
+				}
+				if err := json.Unmarshal(body, &pdoc); err != nil {
+					t.Fatalf("GET /v1/predict?model=%s: %v\n%s", model, err, body)
+				}
+				for _, pred := range pdoc.Predictions {
+					var gpu string
+					var k int
+					if err := json.Unmarshal(pred["gpu"], &gpu); err != nil {
+						t.Fatal(err)
+					}
+					if err := json.Unmarshal(pred["k"], &k); err != nil {
+						t.Fatal(err)
+					}
+					if k == 3 {
+						continue
+					}
+					eq := fmt.Sprintf("model=%s&gpu=%s&k=%d", model, gpu, k)
+					status, body = s.DoLocal(http.MethodGet, "/v1/explain", eq)
+					if status != http.StatusOK {
+						t.Fatalf("GET /v1/explain?%s: status %d: %s", eq, status, body)
+					}
+					var edoc map[string]json.RawMessage
+					if err := json.Unmarshal(body, &edoc); err != nil {
+						t.Fatalf("GET /v1/explain?%s: %v\n%s", eq, err, body)
+					}
+					for _, f := range fields {
+						if got, want := edoc[f], pred[f]; !bytes.Equal(got, want) {
+							t.Errorf("%s on %dx%s: explain %s = %s, predict %s = %s", model, k, gpu, f, got, f, want)
+						}
+					}
+					cells++
 				}
 			}
-			cells++
-		}
-	}
-	if want := len(ceer.Models()) * len(ceer.AllConfigs(1)) * 3; cells != want {
-		t.Errorf("compared %d cells, want %d", cells, want)
+			if want := len(ceer.Models()) * len(ceer.AllConfigs(1)) * 3; cells != want {
+				t.Errorf("compared %d cells, want %d", cells, want)
+			}
+		})
 	}
 }
 

@@ -2,12 +2,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"ceer/internal/gpu"
-	"ceer/internal/graph"
-	"ceer/internal/ops"
 )
 
 // seriesJSON is the exported form of one per-node measurement series.
@@ -24,8 +19,8 @@ type seriesJSON struct {
 	StdSeconds  float64   `json:"std_s"`
 	MinSeconds  float64   `json:"min_s"`
 	MaxSeconds  float64   `json:"max_s"`
-	// Samples carries the retained raw measurements so an imported
-	// profile supports the median estimators.
+	// Samples carries the retained raw measurements, so analysis
+	// outside this repository can use the median estimators.
 	Samples []float64 `json:"samples,omitempty"`
 }
 
@@ -74,64 +69,4 @@ func (p *Profile) ExportJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// ImportJSON restores a Profile previously written by ExportJSON,
-// enabling offline workflows: profile once, analyze or retrain later
-// without re-running the measurement campaign.
-func ImportJSON(r io.Reader) (*Profile, error) {
-	var in profileJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decoding profile: %w", err)
-	}
-	m, ok := gpu.ByFamily(in.Family)
-	if !ok {
-		return nil, fmt.Errorf("trace: unknown GPU family %q", in.Family)
-	}
-	if in.Iterations <= 0 {
-		return nil, fmt.Errorf("trace: profile has %d iterations", in.Iterations)
-	}
-	p := &Profile{
-		CNN:        in.CNN,
-		GPU:        m,
-		Iterations: in.Iterations,
-		Params:     in.Params,
-		BatchSize:  in.BatchSize,
-		IterTotal:  RestoreAgg(in.Iterations, in.MeanIterSecs, 0, in.MeanIterSecs, in.MeanIterSecs, nil),
-	}
-	for _, sj := range in.Series {
-		tp := ops.Type(sj.Op)
-		if !ops.Known(tp) {
-			return nil, fmt.Errorf("trace: unknown op type %q", sj.Op)
-		}
-		if sj.N != in.Iterations {
-			return nil, fmt.Errorf("trace: series %q has %d samples, profile has %d iterations", sj.Op, sj.N, in.Iterations)
-		}
-		p.Series = append(p.Series, &Series{
-			CNN:         in.CNN,
-			GPU:         m,
-			Node:        graph.NodeID(sj.Node),
-			OpType:      tp,
-			Class:       ops.MustLookup(tp).Class,
-			Phase:       parsePhase(sj.Phase),
-			Features:    sj.Features,
-			InputBytes:  sj.InputBytes,
-			OutputBytes: sj.OutputBytes,
-			Agg:         RestoreAgg(sj.N, sj.MeanSeconds, sj.StdSeconds, sj.MinSeconds, sj.MaxSeconds, sj.Samples),
-		})
-	}
-	return p, nil
-}
-
-func parsePhase(s string) graph.Phase {
-	switch s {
-	case "input":
-		return graph.InputPhase
-	case "backward":
-		return graph.BackwardPhase
-	case "update":
-		return graph.UpdatePhase
-	default:
-		return graph.ForwardPhase
-	}
 }

@@ -1,6 +1,6 @@
-// Checkpoint-grade profile serialization. Unlike ExportJSON/ImportJSON
-// (a human-facing analysis artifact that stores derived statistics),
-// the state codec round-trips the exact internal accumulator state —
+// Checkpoint-grade profile serialization. Unlike ExportJSON (a
+// human-facing analysis artifact that stores derived statistics), the
+// state codec round-trips the exact internal accumulator state —
 // count, mean, M2, extremes, retention cap, raw samples — so a profile
 // restored from a campaign checkpoint is bit-identical to the one that
 // was measured: resuming a preempted campaign reproduces the very
@@ -143,4 +143,17 @@ func UnmarshalState(data []byte) (*Profile, error) {
 		})
 	}
 	return p, nil
+}
+
+func parsePhase(s string) graph.Phase {
+	switch s {
+	case "input":
+		return graph.InputPhase
+	case "backward":
+		return graph.BackwardPhase
+	case "update":
+		return graph.UpdatePhase
+	default:
+		return graph.ForwardPhase
+	}
 }

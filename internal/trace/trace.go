@@ -36,23 +36,6 @@ func NewAgg(retain int) *Agg {
 	return &Agg{cap: retain, min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// RestoreAgg rebuilds an accumulator from exported summary statistics
-// and an optional retained-sample slice (see Profile.ImportJSON). The
-// restored accumulator reports the same N, Mean, Std, Min, Max, and
-// Retained values; further Add calls behave normally.
-func RestoreAgg(n int, mean, std, min, max float64, retained []float64) *Agg {
-	a := &Agg{
-		n:        n,
-		mean:     mean,
-		m2:       std * std * float64(n),
-		min:      min,
-		max:      max,
-		retained: append([]float64(nil), retained...),
-		cap:      len(retained),
-	}
-	return a
-}
-
 // Add folds one observation into the accumulator.
 func (a *Agg) Add(x float64) {
 	a.n++

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1+ verification gate (see README "Verification"): formatting,
-# vet, build, the full test suite, a race-detector pass over the whole
-# module, short fuzz runs of the JSON encoder and the JSONL journal
-# codec, the ceer-lint static-analysis suite, the escape-analysis
-# cross-check, the calibration golden gate, the chaos determinism gate,
-# the experiments determinism gate, and a bench smoke run.
+# vet, build, the full test suite, vet and tests of the perfbench
+# module, a race-detector pass over the whole module, short fuzz runs
+# of the JSON encoder and the JSONL journal codec, the ceer-lint
+# static-analysis suite, the escape-analysis cross-check, the
+# calibration golden gate, the chaos determinism gate, the experiments
+# determinism gate, and a bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +25,13 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== perfbench: go vet and go test"
+# perfbench is its own module over this one (a replace directive), so
+# ./... above does not build it. An API change that breaks the
+# benchmark harness fails here rather than first in a benchmark run.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
@@ -122,10 +130,10 @@ BENCH_COUNT=6 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >/dev/nul
 
 echo "== serve daemon bench regression gate"
 # The daemon's hot-path benches gated against the committed
-# BENCH_serve.json. Only the two zero-alloc handler benches gate here
-# (the loadgen benches measure wall-clock percentiles and are recorded,
-# not gated, by `make bench-serve`). Any allocs/op above the committed
-# baseline of 0 fails — the zero-allocation contract of DESIGN.md §13.
+# BENCH_serve.json: the two zero-alloc handler benches and the encoder.
+# Load under concurrency is perfbench's to measure, against the live
+# daemon. Any allocs/op above the committed baseline of 0 fails — the
+# zero-allocation contract of DESIGN.md §13.
 BENCH_COUNT=6 BENCH_TIME=500x BENCH_PKG=./internal/serve \
     BENCH_REGEX='ServePredict$|ServeRecommend$|ServeEncodePredict$' \
     BENCH_BASELINE=BENCH_serve.json BENCH_OUT="$(mktemp)" \
