@@ -112,12 +112,13 @@ testing); -checkpoint (train) journals campaign progress so a preempted
 run resumes without re-measuring completed cells.
 -extra-devices (train/predict/recommend/devices) registers the built-in
 non-paper GPU devices and their instances before running.
-train/predict/recommend accept -cpuprofile FILE and -memprofile FILE to
-write pprof profiles of the run.`)
+train/predict/recommend/calibrate/serve accept -cpuprofile FILE and
+-memprofile FILE to write pprof profiles of the run (serve's stop after
+the drain).`)
 }
 
 // profileFlags holds the -cpuprofile/-memprofile flag values shared by
-// the train/predict/recommend subcommands.
+// the train/predict/recommend/calibrate/serve subcommands.
 type profileFlags struct {
 	cpu, mem *string
 }

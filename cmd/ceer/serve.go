@@ -46,9 +46,17 @@ func cmdServe(args []string) (err error) {
 	workers := fs.Int("workers", 0, "parallel measurement workers when training in memory; 0 = GOMAXPROCS")
 	extra := fs.Bool("extra-devices", false, "also register the built-in non-paper devices")
 	res := addResilienceFlags(fs)
+	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The profiles cover the daemon's whole life: they stop when
+	// cmdServe returns, after the drain.
+	stop, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer deferStop(stop, &err)
 	if *extra {
 		a10g.Register()
 	}

@@ -9,8 +9,9 @@ package ceer
 // statistics and publishes a recalibrated predictor. Publication is
 // copy-on-write: the served Predictor is never mutated; a refit clones
 // it with the one op model replaced, and, when a CompiledBox is bound,
-// compiles and atomically hot-swaps the serving tables so concurrent
-// readers never observe a half-updated model.
+// re-evaluates that model's run of the serving tables and atomically
+// hot-swaps them so concurrent readers never observe a half-updated
+// model.
 //
 // Everything is deterministic: the same observation sequence against
 // the same starting predictor produces the same refits, the same
@@ -88,13 +89,18 @@ type calibCell struct {
 // Calibrator drives the observe→predict→calibrate loop over one
 // predictor. Not safe for concurrent use: observations are a single
 // ordered stream (concurrent readers of the published predictor are
-// fine — that is the CompiledBox contract).
+// fine — that is the CompiledBox contract). Bound to a CompiledBox, it
+// keeps the tables it last published, and a refit derives the next
+// tables from them (CompiledPredictor.withRefit) instead of compiling
+// the graph set again.
 type Calibrator struct {
 	pol  CalibrationPolicy
 	pred *Predictor
 
+	// box is the bound hot-swap target and tables what it last received
+	// (both nil until BindBox).
 	box    *CompiledBox
-	graphs []*graph.Graph
+	tables *CompiledPredictor
 
 	cells map[calibKey]*calibCell
 
@@ -120,17 +126,20 @@ func NewCalibrator(p *Predictor, pol CalibrationPolicy) (*Calibrator, error) {
 	return &Calibrator{pol: pol, pred: p, cells: make(map[calibKey]*calibCell)}, nil
 }
 
-// BindBox attaches a hot-swap target: after every successful refit the
-// recalibrated predictor is compiled over the given graphs and Stored
-// into the box. The box receives the initial compilation immediately,
-// so readers have tables before the first observation arrives.
+// BindBox attaches a hot-swap target: the current predictor is compiled
+// over the given graphs and Stored into the box immediately, so readers
+// have tables before the first observation arrives, and after every
+// successful refit the box receives those tables with the re-solved
+// (device, op type) run re-evaluated. The tables keep the device set
+// compiled here: a device registered after BindBox is not added by a
+// refit.
 func (c *Calibrator) BindBox(box *CompiledBox, graphs []*graph.Graph) error {
 	cp, err := Compile(c.pred, graphs)
 	if err != nil {
 		return err
 	}
 	c.box = box
-	c.graphs = graphs
+	c.tables = cp
 	box.Store(cp)
 	return nil
 }
@@ -255,21 +264,23 @@ func (c *Calibrator) refit(om *OpModel, cl *calibCell) error {
 		TrainObs:  cl.stats.N(),
 		Stats:     stats,
 	}
-	c.pred = c.pred.withOpModel(next)
+	pred := c.pred.withOpModel(next)
+	if c.box != nil {
+		tables, err := c.tables.withRefit(pred, next)
+		if err != nil {
+			return fmt.Errorf("ceer: updating tables for recalibrated %s/%s: %w", om.GPU, om.OpType, err)
+		}
+		c.tables = tables
+		c.box.Store(tables)
+		c.swaps++
+	}
+	c.pred = pred
 	cl.refits++
 	cl.sinceRefit = 0
 	cl.inDrift = false
 	cl.stats.ResetResidualWindow()
 	cl.last = drift.Verdict{}
 	c.refits++
-	if c.box != nil {
-		cp, err := Compile(c.pred, c.graphs)
-		if err != nil {
-			return fmt.Errorf("ceer: compiling recalibrated predictor: %w", err)
-		}
-		c.box.Store(cp)
-		c.swaps++
-	}
 	return nil
 }
 

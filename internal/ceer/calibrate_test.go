@@ -10,6 +10,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -52,15 +53,25 @@ func slowObs(obs []trace.Obs, m gpu.ID, factor float64) []trace.Obs {
 	return out
 }
 
+// slowedT4Stream is TestCalibrateDriftHotSwap's input: a predictor
+// trained on campaignNames, and its campaign's observations with T4
+// slowed 2×, streamed twice.
+func slowedT4Stream(t *testing.T) (*Predictor, []trace.Obs) {
+	t.Helper()
+	pred, res, err := testPipeline(1).TrainOn(context.Background(), zoo.Build, campaignNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := slowObs(bundleObsList(t, res.Bundle), gpu.T4, 2)
+	return pred, append(stream, stream...)
+}
+
 // TestCalibrateDriftHotSwap is the acceptance journey: a 2× slowdown
 // injected on one device must be flagged within a bounded observation
 // window, trigger refits, and publish the recalibrated predictor
 // through the CompiledBox while readers hammer it concurrently.
 func TestCalibrateDriftHotSwap(t *testing.T) {
-	pred, res, err := testPipeline(1).TrainOn(context.Background(), zoo.Build, campaignNames)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred, stream := slowedT4Stream(t)
 	graphs := make([]*graph.Graph, len(campaignNames))
 	for i, name := range campaignNames {
 		graphs[i] = zoo.MustBuild(name, 32)
@@ -106,12 +117,9 @@ func TestCalibrateDriftHotSwap(t *testing.T) {
 		}()
 	}
 
-	stream := slowObs(bundleObsList(t, res.Bundle), gpu.T4, 2)
-	for pass := 0; pass < 2; pass++ {
-		for _, o := range stream {
-			if err := cal.Calibrate(o); err != nil {
-				t.Fatal(err)
-			}
+	for _, o := range stream {
+		if err := cal.Calibrate(o); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(stop)
@@ -159,6 +167,73 @@ func TestCalibrateDriftHotSwap(t *testing.T) {
 	}
 	if !eqExact(after.HeavySeconds, orig.HeavySeconds) {
 		t.Error("calibration mutated the original predictor")
+	}
+}
+
+// TestRefitTablesMatchCompile: a refit re-evaluates only the table run
+// it re-solved, yet after every refit the tables a bound box serves
+// over the 12 zoo graphs equal a full Compile of the recalibrated
+// predictor, on TestCalibrateDriftHotSwap's stream and on the golden
+// fixture.
+func TestRefitTablesMatchCompile(t *testing.T) {
+	var graphs []*graph.Graph
+	for _, name := range zoo.Names() {
+		graphs = append(graphs, zoo.MustBuild(name, 32))
+	}
+	cases := []struct {
+		name  string
+		input func(*testing.T) (*Predictor, CalibrationPolicy, []trace.Obs)
+	}{
+		{"drift-hot-swap", func(t *testing.T) (*Predictor, CalibrationPolicy, []trace.Obs) {
+			pred, stream := slowedT4Stream(t)
+			return pred, DefaultCalibrationPolicy(), stream
+		}},
+		{"golden", func(t *testing.T) (*Predictor, CalibrationPolicy, []trace.Obs) {
+			pred, err := LoadFile(filepath.Join("testdata", "predictor_seed1_golden.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join("testdata", "calib_obs.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := trace.ReadObsLog(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pred, calibGoldenPolicy(), stream
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pred, pol, stream := tc.input(t)
+			cal, err := NewCalibrator(pred, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			box := &CompiledBox{}
+			if err := cal.BindBox(box, graphs); err != nil {
+				t.Fatal(err)
+			}
+			published, refits := box.Load(), 0
+			for i, o := range stream {
+				if err := cal.Calibrate(o); err != nil {
+					t.Fatal(err)
+				}
+				if box.Load() == published {
+					continue
+				}
+				published = box.Load()
+				refits++
+				if !reflect.DeepEqual(published, compileFor(t, cal.Predictor(), graphs...)) {
+					t.Fatalf("refit %d (observation %d): published tables differ from a full compile", refits, i+1)
+				}
+			}
+			if rep := cal.Report(); refits == 0 || rep.Refits != refits {
+				t.Fatalf("%d published refits, report counts %d; want equal and nonzero", refits, rep.Refits)
+			}
+			t.Logf("%d refits, each equal to a full compile", refits)
+		})
 	}
 }
 

@@ -30,7 +30,9 @@ const (
 // explanation a gather over the class table. No mutex, no map lookups,
 // and no allocations on the read path; a CompiledPredictor is
 // immutable after Compile and safe for any number of concurrent
-// readers. Hot-swap a rebuilt instance atomically through CompiledBox.
+// readers. Hot-swap a rebuilt instance atomically through CompiledBox;
+// a calibration refit derives its instance from the previous one,
+// re-evaluating only the (device, op type) run it re-solved.
 //
 // Signatures are deduplicated across the whole graph set: classes
 // shared by several CNNs, the common case in a CNN zoo, occupy one
@@ -141,35 +143,15 @@ func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 				c.times[base+ci] = p.CPUMedian
 			}
 		}
-		// Classes are signature-sorted and a signature starts with its
-		// op type, so one type's classes are contiguous: evaluate each
-		// (device, type) run as one struct-of-arrays batch.
+		// Evaluate each heavy (device, type) run as one batch.
 		for start := 0; start < c.nc; {
 			if c.kinds[base+start] != kindHeavy {
 				start++
 				continue
 			}
-			t := classes[start].Rep.Op.Type
-			end := start + 1
-			for end < c.nc && c.kinds[base+end] == kindHeavy && classes[end].Rep.Op.Type == t {
-				end++
-			}
-			om := byType[t]
-			arity := om.Model().NumFeatures
-			feats := make([]float64, 0, (end-start)*arity)
-			for ci := start; ci < end; ci++ {
-				if len(classes[ci].Features) != arity {
-					return nil, fmt.Errorf("ceer: compile: class %q has %d features, %s model wants %d",
-						classes[ci].Sig, len(classes[ci].Features), t, arity)
-				}
-				feats = append(feats, classes[ci].Features...)
-			}
-			dst := c.times[base+start : base+end]
-			om.Model().PredictBatch(dst, feats)
-			for i := range dst {
-				if dst[i] < 0 {
-					dst[i] = 0
-				}
+			end, err := c.evalRun(di, start, byType[classes[start].Rep.Op.Type])
+			if err != nil {
+				return nil, err
 			}
 			c.buildEvals += end - start
 			start = end
@@ -210,6 +192,65 @@ func Compile(p *Predictor, graphs []*graph.Graph) (*CompiledPredictor, error) {
 		}
 	}
 	return c, nil
+}
+
+// evalRun evaluates, with om, device di's run of classes that share
+// class start's op type into the times table and returns the run's end.
+// Classes are signature-sorted and a signature starts with its op type,
+// so one type's classes are contiguous: the run is one struct-of-arrays
+// batch through regress.PredictBatch, clamped at 0. Compile runs it over
+// every heavy run, withRefit over the one run a refit re-solved.
+func (c *CompiledPredictor) evalRun(di, start int, om *OpModel) (int, error) {
+	classes := c.fold.Classes()
+	t := classes[start].Rep.Op.Type
+	end := start
+	for end < c.nc && classes[end].Rep.Op.Type == t {
+		end++
+	}
+	arity := om.Model().NumFeatures
+	feats := make([]float64, 0, (end-start)*arity)
+	for ci := start; ci < end; ci++ {
+		if len(classes[ci].Features) != arity {
+			return 0, fmt.Errorf("ceer: compile: class %q has %d features, %s model wants %d",
+				classes[ci].Sig, len(classes[ci].Features), t, arity)
+		}
+		feats = append(feats, classes[ci].Features...)
+	}
+	dst := c.times[di*c.nc+start : di*c.nc+end]
+	om.Model().PredictBatch(dst, feats)
+	for i := range dst {
+		if dst[i] < 0 {
+			dst[i] = 0
+		}
+	}
+	return end, nil
+}
+
+// withRefit returns the tables of p, a clone of the receiver's
+// predictor with om re-solved, without recompiling: it copies times and
+// sums, re-evaluates om's (device, op type) run, and re-gathers that
+// device's op sum of every graph. Everything else (the fold, the device
+// set and its metadata, kinds, the comm tables) is shared, since
+// replacing a model that exists changes none of it. The result equals
+// Compile(p, graphs) over the receiver's graphs while the device
+// registry is unchanged.
+func (c *CompiledPredictor) withRefit(p *Predictor, om *OpModel) (*CompiledPredictor, error) {
+	next := *c
+	next.p = p
+	di := c.deviceIndex(om.GPU)
+	start := slices.IndexFunc(c.fold.Classes(), func(gc graph.GlobalClass) bool { return gc.Rep.Op.Type == om.OpType })
+	if di < 0 || start < 0 {
+		return &next, nil // no table cell reads om
+	}
+	next.times = slices.Clone(c.times)
+	if _, err := next.evalRun(di, start, om); err != nil {
+		return nil, err
+	}
+	next.sums = slices.Clone(c.sums)
+	for gi := 0; gi < c.ng; gi++ {
+		next.sums[gi*c.nd+di] = next.classSums(gi, di)
+	}
+	return &next, nil
 }
 
 // deviceIndex returns the compiled index of m, or -1.
@@ -526,8 +567,10 @@ func (c *CompiledPredictor) Stats() CompiledStats {
 // CompiledBox atomically publishes a CompiledPredictor to concurrent
 // readers — the hot-swap point for serve-mode model reloads. Readers
 // Load the current instance and use it for a whole request; a rebuild
-// (retrain, new device, new graph set) Compiles off to the side and
-// Stores the replacement. Both sides are wait-free; a reader holding
+// (retrain, new device, new graph set) Compiles off to the side, and a
+// Calibrator refit derives the next tables from the ones it published
+// (re-evaluating one (device, op type) run); either Stores the
+// replacement. Both sides are wait-free; a reader holding
 // the old instance keeps reading consistent (immutable) tables until
 // it drops the reference.
 type CompiledBox struct {

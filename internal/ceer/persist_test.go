@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -198,6 +199,36 @@ func TestLoadPersistError(t *testing.T) {
 			}
 			if pe.Path != "" {
 				t.Errorf("stream load should carry no path, got %q", pe.Path)
+			}
+		})
+	}
+}
+
+// TestLoadChecksShapesBeforeAllocating: a small file that declares a
+// huge degree-2 shape, in a stats block (120 features: a 7381-square
+// XᵀX) or a model block (3000 features), is a *PersistError, and Load
+// allocates no more than the bytes it was given warrant.
+func TestLoadChecksShapesBeforeAllocating(t *testing.T) {
+	ones := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
+	cases := map[string]string{
+		"stats": `{"version": 3, "light_median": 1e-6, "cpu_median": 1e-5, "op_models": [{"gpu": "v100", "op": "Conv2D",
+			"model": {"degree":1,"num_features":1,"coef":[0,1],"r2":1,"n":2,"scale":[1]},
+			"stats": {"degree":2,"num_features":120,"scale":[` + ones(120) + `],"n":0,"xtx":[0],"xty":[0],"sum_y":0,"sum_y2":0}}]}`,
+		"model": `{"version": 3, "light_median": 1e-6, "cpu_median": 1e-5, "op_models": [{"gpu": "v100", "op": "Conv2D",
+			"model": {"degree":2,"num_features":3000,"coef":[0,1],"r2":1,"n":2,"scale":[` + ones(3000) + `]}}]}`,
+	}
+	for name, doc := range cases {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(strings.NewReader(doc))
+			runtime.ReadMemStats(&after)
+			var pe *PersistError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %T (%v), want *PersistError", err, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("rejecting a %d-byte file allocated %d bytes, want < 1 MB", len(doc), alloc)
 			}
 		})
 	}

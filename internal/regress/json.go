@@ -44,7 +44,7 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if len(j.Scale) != j.NumFeatures {
 		return fmt.Errorf("regress: scale length %d != %d features", len(j.Scale), j.NumFeatures)
 	}
-	wantCoef := 1 + len(Expand(make([]float64, j.NumFeatures), j.Degree))
+	wantCoef := 1 + expandedLen(j.NumFeatures, j.Degree)
 	if len(j.Coef) != wantCoef {
 		return fmt.Errorf("regress: coefficient length %d, want %d", len(j.Coef), wantCoef)
 	}

@@ -62,21 +62,16 @@ type SuffStats struct {
 // features expanded to the given degree (1 or 2), normalized by the
 // per-feature divisors in scale (all non-zero; the slice is copied).
 func NewSuffStats(numFeatures, degree int, scale []float64) (*SuffStats, error) {
-	if numFeatures <= 0 {
-		return nil, errors.New("regress: suffstats need at least one feature")
+	p, err := numParams(numFeatures, degree, scale)
+	if err != nil {
+		return nil, err
 	}
-	if degree != 1 && degree != 2 {
-		return nil, fmt.Errorf("regress: unsupported degree %d", degree)
-	}
-	if len(scale) != numFeatures {
-		return nil, fmt.Errorf("regress: %d scale divisors for %d features", len(scale), numFeatures)
-	}
-	for i, s := range scale {
-		if s == 0 {
-			return nil, fmt.Errorf("regress: zero scale divisor at feature %d", i)
-		}
-	}
-	p := 1 + expandedLen(numFeatures, degree)
+	return newSuffStats(numFeatures, degree, scale, p), nil
+}
+
+// newSuffStats allocates an empty accumulator of a shape numParams
+// accepted, with p parameters.
+func newSuffStats(numFeatures, degree int, scale []float64, p int) *SuffStats {
 	return &SuffStats{
 		degree: degree,
 		nf:     numFeatures,
@@ -86,7 +81,27 @@ func NewSuffStats(numFeatures, degree int, scale []float64) (*SuffStats, error) 
 		xty:    make([]float64, p),
 		scaled: make([]float64, numFeatures),
 		row:    make([]float64, p),
-	}, nil
+	}
+}
+
+// numParams validates an accumulator shape and returns its parameter
+// count: the intercept plus the expanded features.
+func numParams(numFeatures, degree int, scale []float64) (int, error) {
+	if numFeatures <= 0 {
+		return 0, errors.New("regress: suffstats need at least one feature")
+	}
+	if degree != 1 && degree != 2 {
+		return 0, fmt.Errorf("regress: unsupported degree %d", degree)
+	}
+	if len(scale) != numFeatures {
+		return 0, fmt.Errorf("regress: %d scale divisors for %d features", len(scale), numFeatures)
+	}
+	for i, s := range scale {
+		if s == 0 {
+			return 0, fmt.Errorf("regress: zero scale divisor at feature %d", i)
+		}
+	}
+	return 1 + expandedLen(numFeatures, degree), nil
 }
 
 // StatsForModel creates an empty accumulator matching a fitted model's

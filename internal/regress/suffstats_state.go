@@ -49,16 +49,19 @@ func (s *SuffStats) State() SuffStatsState {
 }
 
 // RestoreSuffStats inverts State exactly, validating shape invariants.
+// The declared shape is checked against the arrays the state holds
+// before anything is allocated for it, so a small corrupt state cannot
+// make it allocate a huge XᵀX.
 func RestoreSuffStats(st SuffStatsState) (*SuffStats, error) {
-	s, err := NewSuffStats(st.NumFeatures, st.Degree, st.Scale)
+	p, err := numParams(st.NumFeatures, st.Degree, st.Scale)
 	if err != nil {
 		return nil, err
 	}
-	if want := s.p * (s.p + 1) / 2; len(st.XTX) != want {
-		return nil, fmt.Errorf("regress: suffstats state has %d xtx entries, want %d", len(st.XTX), want)
+	if len(st.XTY) != p {
+		return nil, fmt.Errorf("regress: suffstats state has %d xty entries, want %d", len(st.XTY), p)
 	}
-	if len(st.XTY) != s.p {
-		return nil, fmt.Errorf("regress: suffstats state has %d xty entries, want %d", len(st.XTY), s.p)
+	if want := p * (p + 1) / 2; len(st.XTX) != want {
+		return nil, fmt.Errorf("regress: suffstats state has %d xtx entries, want %d", len(st.XTX), want)
 	}
 	if st.N < 0 {
 		return nil, fmt.Errorf("regress: suffstats state has negative n %d", st.N)
@@ -77,6 +80,7 @@ func RestoreSuffStats(st SuffStatsState) (*SuffStats, error) {
 			return nil, fmt.Errorf("regress: suffstats state has non-finite xtx entry %d", i)
 		}
 	}
+	s := newSuffStats(st.NumFeatures, st.Degree, st.Scale, p)
 	copy(s.xtx, st.XTX)
 	copy(s.xty, st.XTY)
 	s.n = st.N

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -383,6 +384,54 @@ func TestCalibrationSwapValidated(t *testing.T) {
 	snap := getJSON(t, reject, "/metrics", "", http.StatusOK)
 	if snap["server"].(map[string]any)["last_reload_cause"] != ReloadCauseProbe {
 		t.Fatalf("last_reload_cause = %v, want %q", snap["server"].(map[string]any)["last_reload_cause"], ReloadCauseProbe)
+	}
+}
+
+// TestCalibratedAnswersLikeSavedPredictor: after several refits
+// install, a calibrated daemon answers every model like a fresh daemon
+// built from its saved predictor. The observations go in 500-line
+// bodies, as perfbench sends them, so the refit tables, the probe, the
+// install and the generation's pre-rendered bytes are all on the path.
+func TestCalibratedAnswersLikeSavedPredictor(t *testing.T) {
+	lines := scaleObs(t, testObsLines(t, math.MaxInt), 1.3)
+	s := newTestServer(t, Options{Calibration: &CalibrationOptions{}})
+	for start := 0; start < len(lines); start += 500 {
+		postObserve(t, s, obsBody(lines[start:min(start+500, len(lines))]), http.StatusOK)
+	}
+	swaps, rejected := s.met.srv.calibSwaps.Load(), s.met.srv.calibSwapsRejected.Load()
+	if swaps < 2 || rejected != 0 {
+		t.Fatalf("%d refit tables installed and %d rejected, want several and none", swaps, rejected)
+	}
+	t.Logf("%d observations in %d bodies installed %d refit tables", len(lines), (len(lines)+499)/500, swaps)
+	var saved bytes.Buffer
+	if err := s.SaveCalibrated(&saved); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ceer.Load(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(sys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range ceer.Models() {
+		for _, pricing := range []string{"", "&pricing=market"} {
+			q := "model=" + model + pricing
+			for _, req := range [][2]string{
+				{"/v1/predict", q},
+				{"/v1/predict", q + "&config=2xP3"},
+				{"/v1/recommend", q + "&objective=cost"},
+				{"/v1/recommend", q + "&objective=time"},
+			} {
+				wantStatus, want := fresh.DoLocal(http.MethodGet, req[0], req[1])
+				status, got := s.DoLocal(http.MethodGet, req[0], req[1])
+				if wantStatus != http.StatusOK || status != wantStatus || !bytes.Equal(got, want) {
+					t.Fatalf("GET %s?%s: calibrated daemon answered %d\n%s\nfresh daemon answered %d\n%s",
+						req[0], req[1], status, got, wantStatus, want)
+				}
+			}
+		}
 	}
 }
 

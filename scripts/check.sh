@@ -75,11 +75,14 @@ echo "== calibration golden gate"
 # The observe→predict→calibrate replay over the committed observation
 # fixture must render its drift/refit report byte-identically to
 # internal/ceer/testdata/calib_report_golden.txt, and two replays of
-# the same log must agree byte-for-byte. Regenerate after intentional
-# report changes with:
+# the same log must agree byte-for-byte. A refit updates only the table
+# run it re-solved, so after every refit of that fixture and of a
+# drifted campaign stream the published tables must deeply equal a full
+# Compile of the recalibrated predictor (TestRefitTablesMatchCompile).
+# Regenerate after intentional report changes with:
 #   go test ./internal/ceer -run TestCalibrateGoldenReport -update-calib-golden
 go test ./internal/ceer -count=1 \
-    -run 'TestCalibrateGoldenReport|TestCalibrateDeterministicReplay' >/dev/null
+    -run 'TestCalibrateGoldenReport|TestCalibrateDeterministicReplay|TestRefitTablesMatchCompile' >/dev/null
 
 echo "== chaos determinism gate"
 # Campaigns under the canned fault spec must be byte-reproducible at

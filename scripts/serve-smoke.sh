@@ -5,7 +5,8 @@
 # `ceer predict -json` for the same query (the CLI renders through the
 # daemon's own encoder, so any divergence is a bug), repeats the
 # comparison for every zoo model at a non-default batch size, exercises
-# the hot-reload admin endpoint, and drains with SIGTERM.
+# the hot-reload admin endpoint, and drains with SIGTERM. The daemon runs
+# with -cpuprofile, whose file must hold a profile after the drain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +27,7 @@ echo "== serve smoke: train"
 
 echo "== serve smoke: boot"
 "${tmp}/ceer" serve -models "${tmp}/models.json" -addr 127.0.0.1:0 -warmup \
-    >"${tmp}/serve.log" 2>&1 &
+    -cpuprofile "${tmp}/serve.cpu.prof" >"${tmp}/serve.log" 2>&1 &
 srv_pid=$!
 
 addr=""
@@ -136,5 +137,9 @@ if kill -0 "${srv_pid}" 2>/dev/null; then
 fi
 wait "${srv_pid}" 2>/dev/null || true
 grep -q "drained, bye" "${tmp}/serve.log"
+if [[ ! -s "${tmp}/serve.cpu.prof" ]]; then
+    echo "serve smoke FAILED: -cpuprofile left no profile after the drain" >&2
+    exit 1
+fi
 
 echo "serve smoke: OK"
