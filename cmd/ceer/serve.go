@@ -35,7 +35,7 @@ func cmdServe(args []string) (err error) {
 	warmup := fs.Bool("warmup", false, "pre-compile tables, pre-fault the arena, and warm every hot endpoint before binding the listener")
 	observe := fs.Bool("observe", false, "enable in-daemon calibration via POST /v1/observe")
 	journalPath := fs.String("observe-journal", "", "write-ahead observation journal, replayed on startup (implies -observe)")
-	fsyncPol := fs.String("fsync", "always", "journal durability: always (fsync per observation) or never")
+	fsyncPol := fs.String("fsync", "always", "journal durability: always (fsync per journal write) or never")
 	calibOut := fs.String("calib-out", "", "write the calibrated predictor here on clean drain (implies -observe)")
 	obsTail := fs.String("obs-tail", "", "observation log to follow, feeding appended lines into calibration (implies -observe)")
 	reloadTol := fs.Float64("reload-tolerance", 0, "max relative golden-probe divergence an accepted model swap may show (0 = 0.5)")

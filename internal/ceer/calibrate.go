@@ -321,7 +321,7 @@ func (c *Calibrator) Replay(r io.Reader, inj *faults.Injector) error {
 	or := trace.NewObsReader(r)
 	idx := 0
 	for {
-		o, err := or.Read()
+		o, _, err := or.Read()
 		if err == io.EOF {
 			return nil
 		}

@@ -137,3 +137,21 @@ func TestEvaluateDeterministic(t *testing.T) {
 		t.Errorf("verdicts diverge: %+v vs %+v", a, b)
 	}
 }
+
+// TestEvaluateAllocFree: a verdict over a full, wrapped window reads
+// the residual ring in place, so judging an observation allocates
+// nothing.
+func TestEvaluateAllocFree(t *testing.T) {
+	p := DefaultPolicy()
+	s := newStats(t, p.Window)
+	for i := 0; i < p.Window+13; i++ {
+		s.AddResidual(1+0.3*float64(i%5-2), 1)
+	}
+	var v Verdict
+	if n := testing.AllocsPerRun(100, func() { v = Evaluate(p, s) }); n != 0 {
+		t.Errorf("Evaluate allocates %v per call, want 0", n)
+	}
+	if v.WindowFill != p.Window {
+		t.Errorf("window fill %d, want %d", v.WindowFill, p.Window)
+	}
+}

@@ -6,9 +6,10 @@
 //   - Lines are numbered from 1, and blank lines are skipped.
 //   - Every other line holds exactly one JSON value.
 //   - A torn tail is a final line with no newline that is not valid
-//     JSON. Append hands each record to its file in one write, so a
-//     torn tail is all a crash mid-append can leave behind. A reader
-//     drops it and stops cleanly; damage anywhere else is an error
+//     JSON. Every write hands whole lines to the file — Append one
+//     record, AppendLines a block of them — so whole lines and a torn
+//     tail are all a crash mid-write can leave behind. A reader drops
+//     the tail and stops cleanly; damage anywhere else is an error
 //     naming its line ("line N: ...").
 //
 // Open applies the contract to a file before appending to it, so a new
@@ -112,6 +113,7 @@ func Decode(line []byte, v any) error {
 // Writer appends records. Replayed counts the records Open streamed
 // through its callback, and Torn is the line of the torn tail it cut.
 type Writer struct {
+	dst            io.Writer
 	enc            *json.Encoder
 	f              *os.File // the file Open opened
 	sync           bool
@@ -119,7 +121,7 @@ type Writer struct {
 }
 
 // NewWriter appends records to w.
-func NewWriter(w io.Writer) *Writer { return &Writer{enc: json.NewEncoder(w)} }
+func NewWriter(w io.Writer) *Writer { return &Writer{dst: w, enc: json.NewEncoder(w)} }
 
 // Append writes v as one line. json.Encoder hands the value and its
 // newline to the destination in a single Write, so nothing stays
@@ -128,6 +130,28 @@ func (w *Writer) Append(v any) error {
 	if err := w.enc.Encode(v); err != nil {
 		return err
 	}
+	return w.synced()
+}
+
+// AppendLines writes block, whole records each ending in its newline,
+// to the destination in a single Write, then syncs like Append. The
+// caller vouches that every line holds one JSON value (lines it has
+// just decoded), so the bytes are not parsed again here.
+func (w *Writer) AppendLines(block []byte) error {
+	if len(block) == 0 {
+		return nil
+	}
+	if block[len(block)-1] != '\n' {
+		return errors.New("jsonl: a block must end with a newline")
+	}
+	if _, err := w.dst.Write(block); err != nil {
+		return err
+	}
+	return w.synced()
+}
+
+// synced syncs the file of a Writer opened with fsync.
+func (w *Writer) synced() error {
 	if w.sync {
 		return w.f.Sync()
 	}
@@ -139,7 +163,7 @@ func (w *Writer) Close() error { return w.f.Close() }
 
 // Open streams the records of the file at path (if any) through
 // replay, cuts a torn tail, ends an unterminated final line with its
-// newline, and leaves the file open for appending, so the next Append
+// newline, and leaves the file open for appending, so the next write
 // starts a line of its own. A replay error stops Open and names its
 // line. Open reads files this program appended, so it sets no line
 // cap. With fsync, every Append syncs the file.
@@ -148,7 +172,7 @@ func Open(path string, fsync bool, replay func(line []byte) error) (*Writer, err
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{enc: json.NewEncoder(f), f: f, sync: fsync}
+	w := &Writer{dst: f, enc: json.NewEncoder(f), f: f, sync: fsync}
 	if err := w.replay(replay); err != nil {
 		_ = f.Close() // the replay error is the one to report
 		return nil, err

@@ -98,7 +98,8 @@ func checkReader(t *testing.T, data []byte) {
 
 // checkOpen pins Open against the contract on data: it fails naming
 // the contract's error line, or replays exactly the valid prefix; then
-// one Append and a reopen read that prefix plus the appended record.
+// one Append, one AppendLines and a reopen read that prefix plus the
+// appended records.
 func checkOpen(t *testing.T, data []byte) {
 	t.Helper()
 	want, errLine, torn := contract(data)
@@ -124,6 +125,10 @@ func checkOpen(t *testing.T, data []byte) {
 	if err := w.Append(json.RawMessage(appended)); err != nil {
 		t.Fatal(err)
 	}
+	block := []string{`{"block":1}`, `{"block":2}`}
+	if err := w.AppendLines([]byte(strings.Join(block, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func checkOpen(t *testing.T, data []byte) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want = append(want, appended); !reflect.DeepEqual(got, want) || w.Torn != 0 {
+	if want = append(append(want, appended), block...); !reflect.DeepEqual(got, want) || w.Torn != 0 {
 		t.Fatalf("reopen after append read %q (torn line %d), want %q", got, w.Torn, want)
 	}
 }
@@ -181,8 +186,8 @@ func writeSeed(t *testing.T, name string, data []byte) {
 // FuzzJournalReplay is the one fuzz target for every reader on the
 // codec (checkpoint, observe journal, observation log): any byte
 // string fails Open naming a line or replays exactly its valid prefix,
-// an append and a reopen read that prefix plus the record, and nothing
-// panics. The seed corpus is the corrupt table applied to intactLog
+// a record append, a block append and a reopen read that prefix plus
+// the records, and nothing panics. The seed corpus is the corrupt table applied to intactLog
 // (go test ./internal/jsonl -run TestCorruptTable -update-fuzz-corpus).
 func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -224,8 +229,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestAppendOneWrite: each record reaches the destination in one
-// Write, the property that limits a crash to one torn line.
+// TestAppendOneWrite: each record, and each block of whole lines,
+// reaches the destination in one Write, the property that limits a
+// crash to whole lines and one torn line.
 func TestAppendOneWrite(t *testing.T) {
 	var cw countingWriter
 	w := NewWriter(&cw)
@@ -236,5 +242,12 @@ func TestAppendOneWrite(t *testing.T) {
 	}
 	if cw.writes != 3 || bytes.Count(cw.Bytes(), []byte("\n")) != 3 {
 		t.Fatalf("3 appends made %d writes and %d lines", cw.writes, bytes.Count(cw.Bytes(), []byte("\n")))
+	}
+	block := bytes.Repeat([]byte(`{"pad":"`+strings.Repeat("p", 10000)+`"}`+"\n"), 5)
+	if err := w.AppendLines(block); err != nil || cw.writes != 4 || bytes.Count(cw.Bytes(), []byte("\n")) != 8 {
+		t.Fatalf("a 5-line block: err %v, %d writes and %d lines in all", err, cw.writes, bytes.Count(cw.Bytes(), []byte("\n")))
+	}
+	if err := w.AppendLines(block[:len(block)-1]); err == nil || cw.writes != 4 {
+		t.Fatalf("a block without its final newline: err %v after %d writes, want an error and no write", err, cw.writes)
 	}
 }

@@ -357,15 +357,19 @@ func (s *SuffStats) addResidualValue(rel float64) {
 	s.resNext = (s.resNext + 1) % s.resCap
 }
 
-// windowInOrder returns the window's residuals oldest-first.
-func (s *SuffStats) windowInOrder() []float64 {
+// windowHalves returns the ring's two halves in place: the window's
+// residuals oldest-first are older followed by newer.
+func (s *SuffStats) windowHalves() (older, newer []float64) {
 	if len(s.res) < s.resCap || s.resNext == 0 {
-		return append([]float64(nil), s.res...)
+		return s.res, nil
 	}
-	out := make([]float64, 0, len(s.res))
-	out = append(out, s.res[s.resNext:]...)
-	out = append(out, s.res[:s.resNext]...)
-	return out
+	return s.res[s.resNext:], s.res[:s.resNext]
+}
+
+// windowInOrder returns a copy of the window's residuals oldest-first.
+func (s *SuffStats) windowInOrder() []float64 {
+	older, newer := s.windowHalves()
+	return append(append(make([]float64, 0, len(s.res)), older...), newer...)
 }
 
 // ResidualWindow returns the residuals currently held, oldest first.
@@ -382,17 +386,20 @@ func (s *SuffStats) ResidualCount() int { return s.resTotal }
 func (s *SuffStats) WindowFill() int { return len(s.res) }
 
 // WindowMAPE returns the mean absolute relative residual over the
-// window (0 when empty), summed oldest-first for determinism.
+// window (0 when empty), summed oldest-first for determinism, walking
+// the ring in place.
 func (s *SuffStats) WindowMAPE() float64 {
-	w := s.windowInOrder()
-	if len(w) == 0 {
+	if len(s.res) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, r := range w {
-		sum += math.Abs(r)
+	older, newer := s.windowHalves()
+	for _, half := range [2][]float64{older, newer} {
+		for _, r := range half {
+			sum += math.Abs(r)
+		}
 	}
-	return sum / float64(len(w))
+	return sum / float64(len(s.res))
 }
 
 // WindowMaxSignRun returns the length of the longest run of
@@ -401,27 +408,29 @@ func (s *SuffStats) WindowMAPE() float64 {
 // consistently over- or under-predicting — where healthy noise
 // alternates sign.
 func (s *SuffStats) WindowMaxSignRun() int {
-	w := s.windowInOrder()
 	best, run, sign := 0, 0, 0
-	for _, r := range w {
-		var sgn int
-		switch {
-		case r > 0:
-			sgn = 1
-		case r < 0:
-			sgn = -1
-		default:
-			sgn = 0
-		}
-		if sgn != 0 && sgn == sign {
-			run++
-		} else if sgn != 0 {
-			sign, run = sgn, 1
-		} else {
-			sign, run = 0, 0
-		}
-		if run > best {
-			best = run
+	older, newer := s.windowHalves()
+	for _, half := range [2][]float64{older, newer} {
+		for _, r := range half {
+			var sgn int
+			switch {
+			case r > 0:
+				sgn = 1
+			case r < 0:
+				sgn = -1
+			default:
+				sgn = 0
+			}
+			if sgn != 0 && sgn == sign {
+				run++
+			} else if sgn != 0 {
+				sign, run = sgn, 1
+			} else {
+				sign, run = 0, 0
+			}
+			if run > best {
+				best = run
+			}
 		}
 	}
 	return best

@@ -288,6 +288,62 @@ func TestSuffStatsResidualWindow(t *testing.T) {
 	}
 }
 
+// TestWindowStatsWalkRingInPlace: across random caps, fills, resizes
+// and wrap points, WindowMAPE (compared by bits) and WindowMaxSignRun,
+// which walk the ring in place, equal a reference computed over the
+// ResidualWindow copy, oldest first.
+func TestWindowStatsWalkRingInPlace(t *testing.T) {
+	src := rng.New(7)
+	add := func(s *SuffStats, n int) {
+		sign := 1.0
+		for ; n > 0; n-- {
+			if src.Intn(3) == 0 {
+				sign = -sign
+			}
+			if src.Intn(10) == 0 {
+				s.AddResidual(1, 1) // an exact zero breaks a run
+				continue
+			}
+			s.AddResidual(1+sign*(0.01+src.Float64()), 1)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		s := mustStats(t, 1, 1, []float64{1})
+		s.SetResidualWindowCap(src.Intn(40))
+		add(s, src.Intn(120))
+		if src.Intn(3) == 0 {
+			s.SetResidualWindowCap(src.Intn(40))
+			add(s, src.Intn(60))
+		}
+		win := s.ResidualWindow()
+		wantMAPE := 0.0
+		if len(win) > 0 {
+			for _, r := range win {
+				wantMAPE += math.Abs(r)
+			}
+			wantMAPE /= float64(len(win))
+		}
+		wantRun, run := 0, 0
+		for i, r := range win {
+			switch {
+			case r == 0:
+				run = 0
+			case i > 0 && (r > 0) == (win[i-1] > 0) && win[i-1] != 0:
+				run++
+			default:
+				run = 1
+			}
+			wantRun = max(wantRun, run)
+		}
+		if got := s.WindowMAPE(); math.Float64bits(got) != math.Float64bits(wantMAPE) {
+			t.Fatalf("trial %d (cap %d, %d held): WindowMAPE %v, want %v", trial, s.ResidualWindowCap(), len(win), got, wantMAPE)
+		}
+		if got := s.WindowMaxSignRun(); got != wantRun {
+			t.Fatalf("trial %d (cap %d, window %v): WindowMaxSignRun %d, want %d", trial, s.ResidualWindowCap(), win, got, wantRun)
+		}
+	}
+}
+
 // TestSuffStatsAddPanicsOnWidth pins the Predict-style arity panic.
 func TestSuffStatsAddPanicsOnWidth(t *testing.T) {
 	s := mustStats(t, 2, 1, []float64{1, 1})

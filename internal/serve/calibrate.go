@@ -20,12 +20,16 @@ import (
 // loop (PR 7's Calibrator behind POST /v1/observe).
 //
 // Crash-safety contract: with JournalPath set, every accepted
-// observation is appended to the JSONL journal — flushed, and fsynced
-// under FsyncAlways — BEFORE its rank-1 update applies. A kill -9 at
-// any instant therefore loses at most a torn, never-acknowledged final
-// line; restarting with the same journal replays the intact prefix
-// through the same calibrator and reconstructs byte-identical
-// predictor state (the chaos suite pins this).
+// observation's line is appended to the JSONL journal — written, and
+// fsynced under FsyncAlways — BEFORE its rank-1 update applies. The
+// loop writes the lines of a block of observations (up to
+// journalBlock bytes, or the rest of a batch) in one write and one
+// fsync, then applies them. A kill -9 at any instant therefore leaves
+// whole journaled lines, applied or not yet, and at most a torn,
+// never-acknowledged final line; restarting with the same journal
+// replays the intact prefix through the same calibrator and
+// reconstructs byte-identical predictor state (the chaos suite pins
+// this).
 type CalibrationOptions struct {
 	// Policy fixes drift thresholds and the refit schedule. A zero
 	// drift policy selects ceer.DefaultDriftPolicy.
@@ -40,15 +44,28 @@ type CalibrationOptions struct {
 
 // Fsync policies for the observation journal.
 const (
-	// FsyncAlways fsyncs after every appended observation: a kill -9
-	// at any instant loses at most the torn final line — and that
-	// observation was never acknowledged, so replay is exact.
+	// FsyncAlways fsyncs after every journal write, before any
+	// observation in it applies: a kill -9 at any instant loses at
+	// most the torn final line — and that observation was never
+	// acknowledged, so replay is exact. A write carries a block of
+	// observations, so a POST body costs one fsync per block, not
+	// one per observation.
 	FsyncAlways = "always"
 	// FsyncNever leaves flushing to the OS: faster ingestion, and a
 	// hard crash may lose the tail of *acknowledged* observations
 	// (replay still recovers a consistent prefix).
 	FsyncNever = "never"
 )
+
+// journalBlock bounds the journal lines the calibration loop stages
+// before it writes them: a block is written once it holds this many
+// bytes, and at the end of every batch. 128 KiB holds a 500-line
+// observe body of the zoo's observation stream (64–70 kB).
+const journalBlock = 128 << 10
+
+// errCalibClosed refuses observations once the journal has closed on
+// drain, so none can apply without being journaled.
+var errCalibClosed = errors.New("serve: calibration closed by drain")
 
 // calibLoop owns the daemon's calibrator. The calibrator is not
 // concurrency-safe — observations are one ordered stream — so every
@@ -66,6 +83,14 @@ type calibLoop struct {
 	mu      sync.Mutex
 	cal     *ceer.Calibrator
 	journal *jsonl.Writer
+	// closed is set when the drain closes the journal; from then on
+	// every observation is refused.
+	closed bool
+	// block holds the staged observations' lines, each with its
+	// newline, and pending the observations themselves; both are
+	// reused across batches.
+	block   []byte
+	pending []trace.Obs
 
 	staging ceer.CompiledBox
 	// lastStaged is the most recently probed staging table (accepted
@@ -189,18 +214,19 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, start int
 
 // ingestObs streams one observe request body through the
 // journal→calibrate path. The batch is ordered and atomic with respect
-// to other batches (cl.mu); on a mid-body error the already-journaled
-// prefix stays applied — the journal and the in-memory state never
-// diverge — and the client learns the failing line.
+// to other batches (cl.mu). On a mid-body decode error the lines
+// before it are journaled and applied — the journal and the in-memory
+// state never diverge — and the client learns the failing line.
 func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 	cl := s.calib
 	cl.mu.Lock()
 	before := cl.cal.Report()
+	journaled := cl.journal != nil
 	or := trace.NewObsReader(body)
 	accepted := 0
 	var ingestErr error
-	for {
-		o, err := or.Read()
+	for ingestErr == nil {
+		o, line, err := or.Read()
 		if err == io.EOF {
 			if t := or.Torn(); t > 0 {
 				ingestErr = fmt.Errorf("truncated observation on line %d (a request body cannot be torn)", t)
@@ -211,10 +237,18 @@ func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 			ingestErr = err
 			break
 		}
-		if ingestErr = cl.apply(o); ingestErr != nil {
-			break
+		if cl.stage(o, line) {
+			var n int
+			n, ingestErr = cl.flush(true)
+			accepted += n
 		}
-		accepted++
+	}
+	// The batch's last block. Its lines precede any decode error, so
+	// its own failure is the one to report.
+	n, err := cl.flush(true)
+	accepted += n
+	if err != nil {
+		ingestErr = err
 	}
 	after := cl.cal.Report()
 	cl.mu.Unlock()
@@ -231,19 +265,66 @@ func (s *Server) ingestObs(body io.Reader) (ObserveResponse, error) {
 		Skipped:    skippedOf(after) - skippedOf(before),
 		Refits:     after.Refits - before.Refits,
 		Generation: s.Generation(),
-		Journaled:  cl.journal != nil,
+		Journaled:  journaled,
 	}, nil
 }
 
-// apply journals o, then folds it into the calibrator: write-ahead, so
-// the journal never trails the in-memory state. Callers hold cl.mu.
-func (cl *calibLoop) apply(o trace.Obs) error {
+// stage adds o and its record line to the block and reports whether
+// the block has reached journalBlock bytes and must be flushed.
+// Callers hold cl.mu.
+func (cl *calibLoop) stage(o trace.Obs, line []byte) bool {
+	cl.pending = append(cl.pending, o)
+	cl.block = append(append(cl.block, line...), '\n')
+	return len(cl.block) >= journalBlock
+}
+
+// flush journals the staged lines in one write — plus one fsync under
+// FsyncAlways — and only then applies their observations in order:
+// write-ahead, so no observation applies before its line is in the
+// file. It empties the block and returns how many observations applied
+// and the first error. A closed loop or a failed journal write applies
+// none. A Calibrate error ends the block there when stop is set (a POST
+// body): the block's later lines stay journaled but unapplied, and boot
+// replay stops at that same failing line. Without stop (a tail poll)
+// the block's other observations still apply. Callers hold cl.mu.
+func (cl *calibLoop) flush(stop bool) (applied int, err error) {
+	if len(cl.pending) == 0 {
+		return 0, nil
+	}
+	defer cl.reset()
+	if cl.closed {
+		return 0, errCalibClosed
+	}
 	if cl.journal != nil {
-		if err := cl.journal.Append(o); err != nil {
-			return fmt.Errorf("serve: journaling observation: %w", err)
+		if err := cl.journal.AppendLines(cl.block); err != nil {
+			return 0, fmt.Errorf("serve: journaling observations: %w", err)
 		}
 	}
-	return cl.cal.Calibrate(o)
+	for _, o := range cl.pending {
+		if cerr := cl.cal.Calibrate(o); cerr != nil {
+			if err == nil {
+				err = cerr
+			}
+			if stop {
+				break
+			}
+			continue
+		}
+		applied++
+	}
+	return applied, err
+}
+
+// reset empties the block for the next one. The observations are
+// cleared so their feature slices can be collected, and a block that
+// grew past twice its bound for one long line is let go.
+func (cl *calibLoop) reset() {
+	clear(cl.pending)
+	cl.pending = cl.pending[:0]
+	cl.block = cl.block[:0]
+	if cap(cl.block) > 2*journalBlock {
+		cl.block = nil
+	}
 }
 
 // skippedOf sums a report's skip counters.
@@ -328,7 +409,9 @@ func (s *Server) tailChunk(path string, off *int64) error {
 }
 
 // tailApply applies one poll's complete lines as one batch, like a POST
-// body, dropping (and counting) malformed or shed observations.
+// body, through the same journal-then-apply blocks. Malformed lines and
+// lines that fail to apply are dropped and counted; lines read while
+// degraded, or after the drain closed the journal, are shed.
 func (s *Server) tailApply(grown []byte) {
 	cl := s.calib
 	cl.mu.Lock()
@@ -345,21 +428,37 @@ func (s *Server) tailApply(grown []byte) {
 			s.met.srv.calibShed.Add(1)
 			continue
 		}
-		if err := cl.apply(o); err != nil {
-			s.met.srv.calibDropped.Add(1)
-			continue
+		if cl.stage(o, line) {
+			s.tailFlush()
 		}
-		s.met.srv.calibObs.Add(1)
 	}
+	s.tailFlush()
 	rep := cl.cal.Report()
 	cl.mu.Unlock()
 	s.settleCalibration(rep)
 }
 
-// close flushes and closes the journal (clean drain).
+// tailFlush flushes a tail poll's block and counts its observations:
+// applied, shed when the loop has closed, dropped otherwise. Callers
+// hold cl.mu.
+func (s *Server) tailFlush() {
+	staged := len(s.calib.pending)
+	applied, err := s.calib.flush(false)
+	s.met.srv.calibObs.Add(uint64(applied))
+	if errors.Is(err, errCalibClosed) {
+		s.met.srv.calibShed.Add(uint64(staged))
+		return
+	}
+	s.met.srv.calibDropped.Add(uint64(staged - applied))
+}
+
+// close closes the journal (clean drain) and closes the loop: an
+// observation that arrives later, from a tail poll, is refused rather
+// than applied without its journal line.
 func (cl *calibLoop) close() {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	cl.closed = true
 	if cl.journal != nil {
 		if err := cl.journal.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "ceer serve: closing observation journal: %v\n", err)

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,7 +154,7 @@ func TestJournalTornTailTrimmedOnBoot(t *testing.T) {
 	or := trace.NewObsReader(f)
 	n := 0
 	for {
-		_, rerr := or.Read()
+		_, _, rerr := or.Read()
 		if rerr != nil {
 			break
 		}
@@ -196,6 +198,178 @@ func TestJournalUnterminatedRecordKeepsNextAppend(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("replayed predictor state differs from the pre-crash state")
+	}
+}
+
+// driftCanonical rewrites observation lines with seconds multiplied by
+// factor, in the canonical form json.Encoder writes for trace.Obs.
+func driftCanonical(t *testing.T, lines [][]byte, factor float64) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(lines))
+	for i, ln := range lines {
+		o, err := trace.DecodeObs(ln)
+		if err != nil {
+			t.Fatalf("obs line %d: %v", i, err)
+		}
+		o.Seconds *= factor
+		if out[i], err = json.Marshal(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// nonCanonical re-encodes an observation line with sorted keys, a
+// space after every colon and comma, and every string character
+// \u-escaped: the same observation in a form the canonical scan hands
+// to encoding/json.
+func nonCanonical(t *testing.T, line []byte) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(line, &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b bytes.Buffer
+	b.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%q: ", k)
+		switch v := m[k].(type) {
+		case string:
+			b.WriteByte('"')
+			for _, c := range v {
+				fmt.Fprintf(&b, `\u%04x`, c)
+			}
+			b.WriteByte('"')
+		case []any:
+			b.WriteByte('[')
+			for j, x := range v {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				num, err := json.Marshal(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(num)
+			}
+			b.WriteByte(']')
+		default:
+			num, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(num)
+		}
+	}
+	b.WriteByte('}')
+	return b.Bytes()
+}
+
+// saveCalibrated returns s's calibrated predictor bytes.
+func saveCalibrated(t *testing.T, s *Server) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveCalibrated(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestNonCanonicalBodiesCalibrateAlike: the journal holds the client's
+// own lines, so the same drifted observations POSTed canonical to one
+// daemon and re-encoded (sorted keys, interior spaces, \u escapes) to
+// another calibrate to the same predictor; the second journal holds
+// the posted lines verbatim and replays to that predictor on reboot. A
+// body whose line k is bad journals exactly lines 1..k-1, several
+// journal blocks' worth, and applies them.
+func TestNonCanonicalBodiesCalibrateAlike(t *testing.T) {
+	canon := driftCanonical(t, testObsLines(t, 2000), 1.3)
+	other := make([][]byte, len(canon))
+	for i := range canon {
+		other[i] = nonCanonical(t, canon[i])
+	}
+	dir := t.TempDir()
+	calib := func(name string) Options {
+		return Options{Calibration: &CalibrationOptions{JournalPath: filepath.Join(dir, name)}}
+	}
+	a, b := newTestServer(t, calib("a.jsonl")), newTestServer(t, calib("b.jsonl"))
+	refits := 0
+	for start := 0; start < len(canon); start += 500 {
+		end := min(start+500, len(canon))
+		refits += int(postObserve(t, a, obsBody(canon[start:end]), http.StatusOK)["refits"].(float64))
+		postObserve(t, b, obsBody(other[start:end]), http.StatusOK)
+	}
+	if refits == 0 {
+		t.Fatal("the drifted stream refit nothing")
+	}
+	saved := saveCalibrated(t, a)
+	if !bytes.Equal(saveCalibrated(t, b), saved) {
+		t.Fatal("re-encoded bodies calibrated to a different predictor than canonical ones")
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "b.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(journal, obsBody(other)) {
+		t.Fatal("the journal does not hold the posted lines verbatim")
+	}
+	if !bytes.Equal(saveCalibrated(t, newTestServer(t, calib("b.jsonl"))), saved) {
+		t.Fatal("a reboot over the re-encoded journal replays to a different predictor")
+	}
+
+	const k = 700
+	if n := len(obsBody(other[:k-1])); n <= journalBlock {
+		t.Fatalf("the %d lines before the bad one hold %d bytes, one block; the case needs several", k-1, n)
+	}
+	bad := append(append(append([][]byte{}, other[:k-1]...), []byte(`{"cnn": broken`)), other[k:]...)
+	c := newTestServer(t, calib("c.jsonl"))
+	status, resp := c.DoLocalBody(http.MethodPost, "/v1/observe", "", obsBody(bad))
+	if status != http.StatusBadRequest || !strings.Contains(string(resp), fmt.Sprintf("line %d", k)) {
+		t.Fatalf("bad line %d: status %d, body %s (want 400 naming it)", k, status, resp)
+	}
+	if journal, err = os.ReadFile(filepath.Join(dir, "c.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(journal, obsBody(other[:k-1])) {
+		t.Fatalf("bad line %d: the journal holds %d lines, want exactly the %d before it", k, bytes.Count(journal, []byte("\n")), k-1)
+	}
+	if got := c.met.srv.calibObs.Load(); got != k-1 {
+		t.Fatalf("bad line %d: %d observations applied, want %d", k, got, k-1)
+	}
+	if !bytes.Equal(saveCalibrated(t, newTestServer(t, calib("c.jsonl"))), saveCalibrated(t, c)) {
+		t.Fatal("the journaled prefix replays to a different predictor than the one it applied")
+	}
+}
+
+// TestTailAfterDrainIsRefused: a tail poll that runs after the drain
+// closed the journal must not apply what it can no longer journal.
+// The drain runs with nothing in flight, then one poll of drifted
+// lines arrives: every line counts as shed, and the calibrated
+// predictor (what -calib-out saves) equals a fresh daemon's replay of
+// the journal.
+func TestTailAfterDrainIsRefused(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "obs.jsonl")
+	opts := Options{Calibration: &CalibrationOptions{JournalPath: journal}}
+	lines := scaleObs(t, testObsLines(t, 3500), 1.6)
+	s := newTestServer(t, opts)
+	postObserve(t, s, obsBody(lines[:500]), http.StatusOK)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.tailApply(obsBody(lines[500:]))
+	if obs, shed := s.met.srv.calibObs.Load(), s.met.srv.calibShed.Load(); obs != 500 || shed != 3000 {
+		t.Fatalf("after the drain: calib_obs %d, calib_shed %d; want 500 and 3000", obs, shed)
+	}
+	if !bytes.Equal(saveCalibrated(t, s), saveCalibrated(t, newTestServer(t, opts))) {
+		t.Fatal("the calibrated predictor differs from the journal's replay")
 	}
 }
 

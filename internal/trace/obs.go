@@ -13,9 +13,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
@@ -127,16 +129,183 @@ func (w *ObsWriter) Flush() error { return w.w.Flush() }
 const obsLineCap = 4 << 20
 
 // DecodeObs decodes and validates one observation line: the record
-// decoder every observation reader shares.
+// decoder every observation reader shares. A line in the canonical
+// form json.Encoder writes for Obs — the six keys in field order, no
+// whitespace, strings of printable ASCII without escapes, numbers in
+// the JSON grammar that strconv parses — is scanned in one pass without
+// reflection. Every other line goes to jsonl.Decode, the encoding/json
+// reference the scan must agree with (FuzzDecodeObs): the input bytes
+// alone choose the path, so the accepted lines, the decoded values and
+// the error text are those of encoding/json.
 func DecodeObs(line []byte) (Obs, error) {
-	var o Obs
-	if err := jsonl.Decode(line, &o); err != nil {
-		return Obs{}, err
+	o, ok := scanObs(line)
+	if !ok {
+		// A value of its own, so only this path moves it to the heap.
+		var ref Obs
+		if err := jsonl.Decode(line, &ref); err != nil {
+			return Obs{}, err
+		}
+		o = ref
 	}
 	if err := o.Validate(); err != nil {
 		return Obs{}, err
 	}
 	return o, nil
+}
+
+// scanObs decodes a canonical observation line, or reports false for
+// any line it does not vouch decodes as encoding/json would decode it.
+func scanObs(line []byte) (Obs, bool) {
+	s := obsScan{b: line, ok: true}
+	var o Obs
+	s.lit(`{"cnn":`)
+	o.CNN = s.str()
+	s.lit(`,"gpu":`)
+	o.GPU = gpu.ID(s.str())
+	s.lit(`,"node":`)
+	o.Node = s.node()
+	s.lit(`,"op":`)
+	o.Op = ops.Type(s.str())
+	s.lit(`,"features":[`)
+	o.Features = s.floats()
+	s.lit(`],"seconds":`)
+	o.Seconds = s.float()
+	s.lit(`}`)
+	if !s.ok || s.i != len(s.b) {
+		return Obs{}, false
+	}
+	return o, true
+}
+
+// obsScan is a cursor over one line. The first mismatch clears ok, and
+// every later step is then a no-op.
+type obsScan struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit consumes want.
+func (s *obsScan) lit(want string) {
+	if s.ok && len(s.b)-s.i >= len(want) && string(s.b[s.i:s.i+len(want)]) == want {
+		s.i += len(want)
+		return
+	}
+	s.ok = false
+}
+
+// str consumes a string of printable ASCII with no escapes, whose
+// bytes are its value.
+func (s *obsScan) str() string {
+	if !s.ok || s.i >= len(s.b) || s.b[s.i] != '"' {
+		s.ok = false
+		return ""
+	}
+	for i := s.i + 1; i < len(s.b); i++ {
+		switch c := s.b[i]; {
+		case c == '"':
+			v := string(s.b[s.i+1 : i])
+			s.i = i + 1
+			return v
+		case c < 0x20 || c > 0x7e || c == '\\':
+			s.ok = false
+			return ""
+		}
+	}
+	s.ok = false
+	return ""
+}
+
+// number consumes a number of the JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
+func (s *obsScan) number() []byte {
+	if !s.ok {
+		return nil
+	}
+	start := s.i
+	s.skip('-')
+	switch {
+	case s.skip('0'):
+	case s.i < len(s.b) && '1' <= s.b[s.i] && s.b[s.i] <= '9':
+		s.digits()
+	default:
+		s.ok = false
+	}
+	if s.skip('.') {
+		s.ok = s.ok && s.digits()
+	}
+	if s.skip('e') || s.skip('E') {
+		_ = s.skip('+') || s.skip('-')
+		s.ok = s.ok && s.digits()
+	}
+	return s.b[start:s.i]
+}
+
+// skip consumes c if it is next.
+func (s *obsScan) skip(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// digits consumes a run of decimal digits and reports whether it was
+// not empty.
+func (s *obsScan) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	return s.i > start
+}
+
+// float consumes a number and parses it as encoding/json parses a
+// float64 field; a number strconv rejects (1e400) declines the scan.
+func (s *obsScan) float() float64 {
+	num := s.number()
+	if !s.ok {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		s.ok = false
+	}
+	return f
+}
+
+// node consumes a number and parses it as encoding/json parses an int
+// field, so a fraction or an exponent (1.0, 1e2) declines the scan.
+func (s *obsScan) node() graph.NodeID {
+	num := s.number()
+	if !s.ok {
+		return 0
+	}
+	n, err := strconv.ParseInt(string(num), 10, 64)
+	if err != nil || int64(int(n)) != n {
+		s.ok = false
+	}
+	return graph.NodeID(n)
+}
+
+// floats consumes the elements of a non-empty array of numbers, sized
+// in one allocation from the commas before its closing bracket.
+func (s *obsScan) floats() []float64 {
+	end := -1
+	if s.ok {
+		end = bytes.IndexByte(s.b[s.i:], ']')
+	}
+	if end <= 0 {
+		s.ok = false
+		return nil
+	}
+	out := make([]float64, 0, bytes.Count(s.b[s.i:s.i+end], []byte{','})+1)
+	for s.ok {
+		if out = append(out, s.float()); !s.skip(',') {
+			break
+		}
+	}
+	return out
 }
 
 // ObsReader reads a JSONL observation log through the jsonl codec,
@@ -150,20 +319,22 @@ func NewObsReader(r io.Reader) *ObsReader {
 	return &ObsReader{jsonl.NewReader(r, obsLineCap)}
 }
 
-// Read returns the next observation, or io.EOF at the end of the log.
-func (r *ObsReader) Read() (Obs, error) {
+// Read returns the next observation and its record line, trimmed of
+// surrounding whitespace, or io.EOF at the end of the log. The line is
+// valid until the next call; the daemon journals it as it came.
+func (r *ObsReader) Read() (Obs, []byte, error) {
 	line, err := r.Next()
 	if err == io.EOF {
-		return Obs{}, io.EOF
+		return Obs{}, nil, io.EOF
 	}
 	if err != nil {
-		return Obs{}, fmt.Errorf("trace: observation log: %w", err)
+		return Obs{}, nil, fmt.Errorf("trace: observation log: %w", err)
 	}
 	o, err := DecodeObs(line)
 	if err != nil {
-		return Obs{}, fmt.Errorf("trace: observation log: line %d: %w", r.Line(), err)
+		return Obs{}, nil, fmt.Errorf("trace: observation log: line %d: %w", r.Line(), err)
 	}
-	return o, nil
+	return o, line, nil
 }
 
 // WriteObsLog streams a bundle's observations to w as JSONL.
@@ -181,7 +352,7 @@ func ReadObsLog(r io.Reader) ([]Obs, error) {
 	or := NewObsReader(r)
 	var out []Obs
 	for {
-		o, err := or.Read()
+		o, _, err := or.Read()
 		if err == io.EOF {
 			return out, nil
 		}

@@ -9,7 +9,9 @@ import (
 
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
+	"ceer/internal/jsonl"
 	"ceer/internal/ops"
+	"ceer/internal/rng"
 	"ceer/internal/trace/corrupt"
 )
 
@@ -151,7 +153,7 @@ func readAllTorn(r io.Reader) ([]Obs, error, int) {
 	or := NewObsReader(r)
 	var out []Obs
 	for {
-		o, err := or.Read()
+		o, _, err := or.Read()
 		if err == io.EOF {
 			return out, nil, or.Torn()
 		}
@@ -206,5 +208,109 @@ func TestObsReaderCorruption(t *testing.T) {
 				t.Errorf("%s: corruption must be an error (got %d obs)", tc.Name, len(got))
 			}
 		}
+	}
+}
+
+// decodeObsReference is DecodeObs through encoding/json alone: the
+// behaviour the canonical scan must reproduce.
+func decodeObsReference(line []byte) (Obs, error) {
+	var o Obs
+	if err := jsonl.Decode(line, &o); err != nil {
+		return Obs{}, err
+	}
+	if err := o.Validate(); err != nil {
+		return Obs{}, err
+	}
+	return o, nil
+}
+
+// sameObs reports whether a and b are equal with every float compared
+// by its bits, so -0 is not 0.
+func sameObs(a, b Obs) bool {
+	if a.CNN != b.CNN || a.GPU != b.GPU || a.Node != b.Node || a.Op != b.Op ||
+		math.Float64bits(a.Seconds) != math.Float64bits(b.Seconds) || len(a.Features) != len(b.Features) {
+		return false
+	}
+	for i := range a.Features {
+		if math.Float64bits(a.Features[i]) != math.Float64bits(b.Features[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkDecodeObs pins DecodeObs to the reference on line: the same
+// error text, or the same value.
+func checkDecodeObs(t *testing.T, line []byte) {
+	t.Helper()
+	got, gotErr := DecodeObs(line)
+	want, wantErr := decodeObsReference(line)
+	switch {
+	case (gotErr == nil) != (wantErr == nil),
+		gotErr != nil && gotErr.Error() != wantErr.Error():
+		t.Fatalf("DecodeObs(%q) error %v, encoding/json %v", line, gotErr, wantErr)
+	case !sameObs(got, want):
+		t.Fatalf("DecodeObs(%q) = %+v, encoding/json %+v", line, got, want)
+	}
+}
+
+// FuzzDecodeObs: for any line, DecodeObs agrees with encoding/json
+// plus Validate. The seed corpus under testdata/fuzz/FuzzDecodeObs
+// holds canonical lines of the calibration fixture and the
+// non-canonical forms the scan must hand to encoding/json.
+func FuzzDecodeObs(f *testing.F) {
+	f.Fuzz(checkDecodeObs)
+}
+
+// TestDecodeObsScansWriterOutput: every line ObsWriter writes takes
+// the canonical scan, whatever its floats, and decodes to the value
+// written, bit for bit.
+func TestDecodeObsScansWriterOutput(t *testing.T) {
+	r := rng.New(1)
+	var buf bytes.Buffer
+	w := NewObsWriter(&buf)
+	var want []Obs
+	for i := 0; i < 2000; i++ {
+		o := Obs{CNN: "cnn-a", GPU: gpu.V100, Node: graph.NodeID(r.Intn(1 << 20)), Op: "Conv2D",
+			Features: make([]float64, 1+r.Intn(6)), Seconds: math.Float64frombits(r.Uint64() >> 2)}
+		for j := range o.Features {
+			o.Features[j] = math.Float64frombits(r.Uint64()) * float64(1-2*(j%2))
+			if math.IsNaN(o.Features[j]) || math.IsInf(o.Features[j], 0) {
+				o.Features[j] = float64(j)
+			}
+		}
+		if err := w.Write(o); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, o)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n")) {
+		got, ok := scanObs(line)
+		if !ok || !sameObs(got, want[i]) {
+			t.Fatalf("line %d %q: scan = %+v (ok %v), want %+v", i+1, line, got, ok, want[i])
+		}
+		checkDecodeObs(t, line)
+	}
+}
+
+// BenchmarkDecodeObs decodes one canonical fixture line through the
+// scan and through the encoding/json reference.
+func BenchmarkDecodeObs(b *testing.B) {
+	line := []byte(`{"cnn":"vgg-11","gpu":"v100","node":4,"op":"Conv2D","features":[19267584,6912,411041792,27,0,0],"seconds":0.0023803723593604498}`)
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte) (Obs, error)
+	}{{"scan", DecodeObs}, {"encoding-json", decodeObsReference}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.decode(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

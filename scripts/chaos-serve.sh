@@ -107,7 +107,8 @@ grep -q '"status": *"accepted"' "${tmp}/observe_control.json"
 drain
 
 # Victim run: feed the same batch, then kill -9 — no close, no final
-# flush beyond the per-observation write-ahead contract.
+# flush beyond the write-ahead contract (each journal write lands
+# before any observation in it applies).
 boot victim -observe-journal "${tmp}/victim.jsonl"
 curl -fsS --max-time 120 -X POST --data-binary @"${tmp}/batch.jsonl" \
     "${base}/v1/observe" -o "${tmp}/observe_victim.json"

@@ -2,10 +2,10 @@
 # Tier-1+ verification gate (see README "Verification"): formatting,
 # vet, build, the full test suite, vet and tests of the perfbench
 # module, a race-detector pass over the whole module, short fuzz runs
-# of the JSON encoder and the JSONL journal codec, the ceer-lint
-# static-analysis suite, the escape-analysis cross-check, the
-# calibration golden gate, the chaos determinism gate, the experiments
-# determinism gate, and a bench smoke run.
+# of the JSON encoder, the JSONL journal codec and the observation
+# decoder, the ceer-lint static-analysis suite, the escape-analysis
+# cross-check, the calibration golden gate, the chaos determinism gate,
+# the experiments determinism gate, and a bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +53,14 @@ echo "== fuzz: JSONL journal codec replay"
 # corpus under internal/jsonl/testdata/fuzz is the shared corruption
 # table.
 go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/jsonl >/dev/null
+
+echo "== fuzz: observation decoder vs encoding/json"
+# Differential fuzzing of trace.DecodeObs, whose canonical scan must
+# agree with encoding/json plus Validate on any line: the same error
+# text, or the same value with every float compared by bits. The seed
+# corpus under internal/trace/testdata/fuzz also runs in the plain test
+# step.
+go test -run '^$' -fuzz '^FuzzDecodeObs$' -fuzztime 10s ./internal/trace >/dev/null
 
 echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
