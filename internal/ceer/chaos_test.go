@@ -8,10 +8,13 @@ package ceer
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,6 +158,82 @@ func TestChaosTransientDeterminism(t *testing.T) {
 	a, b := recFrom(serialJSON), recFrom(parallelJSON)
 	if a.Best.Cfg != b.Best.Cfg || !eqExact(a.Best.CostUSD, b.Best.CostUSD) {
 		t.Errorf("recommendation differs across worker counts: %v vs %v", a.Best.Cfg, b.Best.Cfg)
+	}
+}
+
+// TestChaosStragglerDelaysReachSleep: the campaign waits out every
+// straggler delay the injector draws for an attempt it runs, through
+// the retry policy's Sleep, at any worker count; and a wait whose
+// context is cancelled ends the campaign with context.Canceled. The
+// other chaos tests inject a no-op Sleep, so only this one sees a
+// skipped wait.
+func TestChaosStragglerDelaysReachSleep(t *testing.T) {
+	const retries = 4
+	inj := mustInjector(t, &faults.Spec{Seed: 21, TransientRate: 0.2, StragglerRate: 0.3, StragglerDelayMS: 7})
+	pipeline := func(workers int, sleep func(time.Duration)) Pipeline {
+		pl := chaosPolicy(11, retries)
+		pl.Workers = workers
+		pl.Faults = inj
+		pl.Retry.BaseDelay = 0 // no backoff: straggler delays are all that sleep
+		pl.Retry.Sleep = sleep
+		return pl
+	}
+
+	// The attempts the campaign runs: each cell's, up to its first that
+	// draws no fault, within the attempt budget.
+	var want []time.Duration
+	failed := 0
+	for _, name := range campaignNames {
+		for _, m := range gpu.All() {
+			cells := []faults.Op{{Stage: "profile", CNN: name, Device: string(m)}}
+			for k := 1; k <= testPipeline(0).MaxK; k++ {
+				cells = append(cells, faults.Op{Stage: "comm", CNN: name, Device: string(m), K: k})
+			}
+			for _, op := range cells {
+				for op.Attempt = 1; op.Attempt <= retries+1; op.Attempt++ {
+					delay, err := inj.Inject(op)
+					if delay > 0 {
+						want = append(want, delay)
+					}
+					if err == nil {
+						break
+					}
+					failed++
+				}
+			}
+		}
+	}
+	if len(want) == 0 || failed == 0 {
+		t.Fatalf("the spec drew %d straggler delays and %d failed attempts; want both", len(want), failed)
+	}
+	slices.Sort(want)
+
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		var slept []time.Duration
+		pl := pipeline(workers, func(d time.Duration) {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+		})
+		res, err := pl.Campaign(context.Background(), zoo.Build, campaignNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(slept)
+		if !slices.Equal(slept, want) {
+			t.Errorf("workers=%d: slept %d straggler delays, want the %d the injector drew", workers, len(slept), len(want))
+		}
+		if res.Coverage.Retries != failed {
+			t.Errorf("workers=%d: coverage counts %d failed attempts, want %d", workers, res.Coverage.Retries, failed)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := pipeline(1, func(time.Duration) { cancel() }).Campaign(ctx, zoo.Build, campaignNames)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("a straggler wait whose context was cancelled ended the campaign with %v, want context.Canceled", err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ceer/internal/gpu"
 	"ceer/internal/jsonl"
@@ -57,12 +56,6 @@ type checkpointRecord struct {
 	Comm     *CommObs          `json:"comm,omitempty"`
 	Attempts int               `json:"attempts,omitempty"`
 }
-
-// counter is a race-free failed-attempt tally.
-type counter struct{ n atomic.Int64 }
-
-func (c *counter) add(d int)  { c.n.Add(int64(d)) }
-func (c *counter) value() int { return int(c.n.Load()) }
 
 // checkpoint is the live journal: in-memory maps of everything loaded
 // or recorded, plus the append-side writer. All methods are safe for

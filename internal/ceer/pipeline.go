@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ceer/internal/cloud"
@@ -91,7 +92,6 @@ func DefaultRetryPolicy(seed uint64, retries int) retry.Policy {
 		MaxAttempts: retries + 1,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    500 * time.Millisecond,
-		Multiplier:  2,
 		JitterFrac:  0.25,
 		Seed:        seed ^ 0xBACC0FF,
 		Classify:    retry.FaultErrors,
@@ -264,74 +264,61 @@ func (pl Pipeline) measureComm(ctx context.Context, c commCell, ds dataset.Datas
 	}, nil
 }
 
-// pause sleeps d honoring ctx — injected straggler latency. The retry
-// policy's injected Sleep, when set, replaces the timer (tests make
-// delays instantaneous).
-func (pl Pipeline) pause(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	if pl.Retry.Sleep != nil {
-		pl.Retry.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // campaignState carries the per-run resilience bookkeeping shared by
 // both campaign stages.
 type campaignState struct {
 	cp      *checkpoint
-	retries *counter
+	retries *atomic.Int64
 }
 
-// runCells executes one campaign stage's cells through the retry
-// policy, returning input-ordered results and per-cell final errors.
-// fn measures a cell given the fault-injection op for the attempt;
-// restore returns a checkpointed result, if any.
+// runCells executes one campaign stage's cells, returning input-ordered
+// results and per-cell final errors. Each attempt restores a
+// checkpointed result, or takes the attempt's injected fault and
+// straggler delay and then measures the cell with fn. Every failed
+// attempt is counted (and journaled) before the retry policy decides
+// what to do next, and a cell resumed from a checkpoint starts at the
+// attempt after its last consumed one. A cell error the policy
+// classifies as Abort stops the stage.
 func runCells[T any](ctx context.Context, pl Pipeline, st campaignState, n int,
 	opAt func(i, attempt int) faults.Op,
 	restore func(key string) (T, bool),
 	fn func(ctx context.Context, i int, op faults.Op) (T, error)) ([]T, []error, error) {
-	key := func(i int) string { return opAt(i, 1).CellKey() }
-	opts := retry.MapOptions{
-		Key: key,
-		FirstAttempt: func(i int) int {
-			if st.cp == nil {
-				return 1
+	return par.MapPartial(ctx, pl.Workers, n, func(ctx context.Context, i int) (T, error) {
+		key := opAt(i, 1).CellKey()
+		measure := func(attempt int) (T, error) {
+			if v, ok := restore(key); ok {
+				return v, nil
 			}
-			return st.cp.consumed(key(i)) + 1
-		},
-		OnFailure: func(i, attempt int, err error) {
-			st.retries.add(1)
-			if st.cp != nil {
-				st.cp.noteAttempt(key(i), attempt)
+			var zero T
+			op := opAt(i, attempt)
+			delay, ferr := pl.Faults.Inject(op)
+			if delay > 0 {
+				if err := pl.Retry.Wait(ctx, delay); err != nil {
+					return zero, err
+				}
 			}
-		},
-	}
-	return retry.Map(ctx, pl.Workers, n, pl.Retry, opts, func(ctx context.Context, i, attempt int) (T, error) {
-		var zero T
-		op := opAt(i, attempt)
-		if v, ok := restore(op.CellKey()); ok {
-			return v, nil
-		}
-		delay, ferr := pl.Faults.Inject(op)
-		if delay > 0 {
-			if werr := pl.pause(ctx, delay); werr != nil {
-				return zero, werr
+			if ferr != nil {
+				return zero, ferr
 			}
+			return fn(ctx, i, op)
 		}
-		if ferr != nil {
-			return zero, ferr
+		var out T
+		err := pl.Retry.Do(ctx, key, st.cp.consumed(key)+1, func(attempt int) error {
+			v, err := measure(attempt)
+			if err != nil {
+				st.retries.Add(1)
+				if st.cp != nil {
+					st.cp.noteAttempt(key, attempt)
+				}
+				return err
+			}
+			out = v
+			return nil
+		})
+		if err != nil && pl.Retry.Classify != nil && pl.Retry.Classify(err) == retry.Abort {
+			return out, par.Abort(err)
 		}
-		return fn(ctx, i, op)
+		return out, err
 	})
 }
 
@@ -354,7 +341,7 @@ func (pl Pipeline) Campaign(ctx context.Context, build Build, names []string) (r
 		return nil, err
 	}
 
-	st := campaignState{retries: &counter{}}
+	st := campaignState{retries: new(atomic.Int64)}
 	resumed := 0
 	if pl.CheckpointPath != "" {
 		st.cp, resumed, err = openCheckpoint(pl.CheckpointPath, pl.checkpointHeader())
@@ -440,7 +427,7 @@ func (pl Pipeline) Campaign(ctx context.Context, build Build, names []string) (r
 			ProfileMissing: len(pCells) - len(bundle.Profiles),
 			CommCells:      len(cCells),
 			CommMissing:    commMissing,
-			Retries:        st.retries.value(),
+			Retries:        int(st.retries.Load()),
 			Resumed:        resumed,
 		},
 	}, nil

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -289,13 +291,53 @@ func TestParseSpec(t *testing.T) {
 	if s.Seed != 9 || !eqExact(s.TransientRate, 0.1) || len(s.Preempt) != 1 || s.Preempt[0].Attempt != 2 {
 		t.Errorf("parsed spec wrong: %+v", s)
 	}
-	if _, err := ParseSpec(strings.NewReader(`{"transient_rate": 2}`)); err == nil {
-		t.Error("out-of-range rate should be rejected")
+	rejected := []struct{ name, in string }{
+		{"out-of-range rate", `{"transient_rate": 2}`},
+		{"unknown field (typo protection)", `{"transientrate": 0.1}`},
+		{"malformed JSON", `{nope`},
+		{"second JSON value", `{"seed":1,"transient_rate":0.5}{"permanent_devices":["v100"]}`},
+		{"trailing garbage", `{"seed":1} garbage`},
 	}
-	if _, err := ParseSpec(strings.NewReader(`{"transientrate": 0.1}`)); err == nil {
-		t.Error("unknown fields should be rejected (typo protection)")
+	for _, c := range rejected {
+		if s, err := ParseSpec(strings.NewReader(c.in)); err == nil {
+			t.Errorf("%s: %q parsed to %+v, want an error", c.name, c.in, s)
+		}
 	}
-	if _, err := ParseSpec(strings.NewReader(`{nope`)); err == nil {
-		t.Error("malformed JSON should be rejected")
-	}
+}
+
+// FuzzParseSpec: the fault-spec parser never panics, and any input it
+// accepts is one valid JSON value whose spec validates, builds an
+// injector that draws without panicking, and re-encodes to a fixed
+// point. The seed corpus under testdata/fuzz/FuzzParseSpec also runs in
+// the plain test step.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := ParseSpec(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if !json.Valid(in) {
+			t.Fatalf("accepted %q, which is not valid JSON", in)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("accepted %q, whose spec fails Validate: %v", in, err)
+		}
+		inj, err := NewInjector(s)
+		if err != nil {
+			t.Fatalf("accepted %q, whose spec builds no injector: %v", in, err)
+		}
+		// Only a panic fails here: any fault is a valid draw.
+		_, _ = inj.Inject(Op{Stage: "comm", CNN: "vgg-11", Device: "v100", K: 2, Attempt: 1})
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted %q, whose spec does not encode: %v", in, err)
+		}
+		again, err := ParseSpec(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded spec %s rejected: %v", enc, err)
+		}
+		if enc2, err := json.Marshal(again); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not a fixed point: %s, then %s (%v)", enc, enc2, err)
+		}
+	})
 }

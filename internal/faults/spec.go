@@ -1,10 +1,11 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"ceer/internal/jsonl"
 )
 
 // Spec declaratively configures a fault Injector. The zero value
@@ -100,12 +101,16 @@ func (s *Spec) Enabled() bool {
 		s.StragglerRate > 0 || len(s.Preempt) > 0
 }
 
-// ParseSpec decodes and validates a JSON spec.
+// ParseSpec decodes and validates a JSON spec. The input must hold
+// exactly one JSON value, and unknown fields are rejected, so a typo or
+// a second object cannot silently run a different scenario.
 func ParseSpec(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("faults: reading spec: %w", err)
+	}
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := jsonl.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("faults: decoding spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -157,12 +157,13 @@ var ErrSkipped = errors.New("par: task skipped")
 // MapPartial runs fn over [0, n) like Map but keeps going past
 // individual task failures: out[i] and errs[i] record every task's
 // result and final error in input order (errs[i] == nil marks
-// success). Only two things stop the pool early — parent-context
-// cancellation, and a task returning an error wrapped with Abort — and
-// both are reported through the third return value (for aborts, the
-// lowest-indexed aborting task's unwrapped error, mirroring ForEach's
-// lowest-index determinism). Tasks that never started carry ErrSkipped
-// in errs.
+// success). It is ForEach's loop with a callback that records each
+// outcome in place and hands ForEach only an abort, so only two things
+// stop the pool early — parent-context cancellation, and a task
+// returning an error wrapped with Abort — and both are reported
+// through the third return value (for aborts, the lowest-indexed
+// aborting task's unwrapped error, by ForEach's lowest-index rule).
+// Tasks that never started carry ErrSkipped in errs.
 func MapPartial[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	if n <= 0 {
 		return nil, nil, ctx.Err()
@@ -172,60 +173,19 @@ func MapPartial[T any](ctx context.Context, workers, n int, fn func(ctx context.
 	for i := range errs {
 		errs[i] = ErrSkipped
 	}
-	if Workers(workers, n) == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return out, errs, err
-			}
-			v, err := fn(ctx, i)
-			var abort *AbortError
-			if errors.As(err, &abort) {
-				errs[i] = abort.Err
-				return out, errs, abort.Err
-			}
-			out[i], errs[i] = v, err
+	err := ForEach(ctx, workers, n, func(ctx context.Context, i int) error {
+		v, err := fn(ctx, i)
+		var abort *AbortError
+		if errors.As(err, &abort) {
+			errs[i] = abort.Err
+			return abort.Err
 		}
-		return out, errs, nil
-	}
-	err := mapPartialParallel(ctx, Workers(workers, n), n, out, errs, fn)
+		// ForEach runs each index at most once and returns only after
+		// every task has, so these writes are race-free.
+		out[i], errs[i] = v, err
+		return nil
+	})
 	return out, errs, err
-}
-
-func mapPartialParallel[T any](ctx context.Context, workers, n int, out []T, errs []error, fn func(ctx context.Context, i int) (T, error)) error {
-	var (
-		fail    = lowestFailure{idx: n}
-		nextIdx atomic.Int64
-		wg      sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextIdx.Add(1)) - 1
-				// As in forEachParallel: every index below a recorded
-				// abort runs and leaves a real outcome in errs.
-				if i >= n || ctx.Err() != nil || fail.skip(i) {
-					return
-				}
-				v, err := fn(ctx, i)
-				var abort *AbortError
-				if errors.As(err, &abort) {
-					errs[i] = abort.Err
-					fail.record(i, abort.Err)
-					return
-				}
-				// Each index is claimed exactly once, so these writes
-				// are race-free and published by wg.Wait.
-				out[i], errs[i] = v, err
-			}
-		}()
-	}
-	wg.Wait()
-	if fail.err != nil {
-		return fail.err
-	}
-	return ctx.Err()
 }
 
 // Map runs fn over [0, n) like ForEach and collects the results in

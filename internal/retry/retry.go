@@ -49,19 +49,20 @@ func FaultErrors(err error) Decision {
 }
 
 // Policy configures the retry loop. The zero value allows exactly one
-// attempt with no delays — retrying is strictly opt-in.
+// attempt with no delays — retrying is strictly opt-in. The campaign
+// drives Do per cell from its own par.MapPartial callback, and sleeps
+// injected straggler latency through Wait, so a test's Sleep replaces
+// every wait the campaign makes.
 type Policy struct {
 	// MaxAttempts is the total attempt budget per task, first attempt
 	// included. Values <= 0 mean 1 (no retries).
 	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt; subsequent
-	// delays multiply by Multiplier and clamp at MaxDelay. A
-	// non-positive BaseDelay disables sleeping entirely.
+	// BaseDelay is the backoff before the second attempt; each later
+	// delay doubles, clamped at MaxDelay. A non-positive BaseDelay
+	// disables sleeping entirely.
 	BaseDelay time.Duration
 	// MaxDelay caps the grown delay (0 = uncapped).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per retry; values < 1 mean 2.
-	Multiplier float64
 	// JitterFrac spreads each delay uniformly over ±JitterFrac of its
 	// nominal value, from a stream seeded by (Seed, task key, attempt).
 	JitterFrac float64
@@ -70,9 +71,9 @@ type Policy struct {
 	// Classify decides Fail/Retry/Abort per error; nil fails
 	// everything.
 	Classify Classifier
-	// Sleep replaces time.Sleep (tests inject a no-op). The production
-	// path ignores Sleep's interaction with ctx only in the injected
-	// case; the default waits on a timer and honors cancellation.
+	// Sleep replaces the timer in Wait (tests inject a no-op or a
+	// recorder). An injected Sleep is not interrupted by ctx; the
+	// default waits on a timer and honors cancellation.
 	Sleep func(time.Duration)
 }
 
@@ -101,13 +102,9 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 	if p.BaseDelay <= 0 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(p.BaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= mult
+		d *= 2
 		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
@@ -123,9 +120,10 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// wait sleeps d honoring ctx; the injected Sleep, when set, is used
-// verbatim (tests make it a no-op).
-func (p Policy) wait(ctx context.Context, d time.Duration) error {
+// Wait sleeps d honoring ctx and returns ctx.Err() (nil when the wait
+// ran out); d <= 0 does not sleep. The injected Sleep, when set,
+// replaces the timer.
+func (p Policy) Wait(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -178,7 +176,7 @@ func (p Policy) Do(ctx context.Context, key string, firstAttempt int, fn func(at
 		if attempt >= budget {
 			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt, err)
 		}
-		if werr := p.wait(ctx, p.Delay(key, attempt)); werr != nil {
+		if werr := p.Wait(ctx, p.Delay(key, attempt)); werr != nil {
 			return werr
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ceer/internal/faults"
-	"ceer/internal/par"
 )
 
 // noSleep is the test policy base: real backoff delays with no real
@@ -161,7 +160,7 @@ func TestFaultErrorsClassifier(t *testing.T) {
 func TestDelayDeterministicAndBounded(t *testing.T) {
 	p := Policy{
 		MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond,
-		Multiplier: 2, JitterFrac: 0.25, Seed: 42,
+		JitterFrac: 0.25, Seed: 42,
 	}
 	for attempt := 1; attempt <= 8; attempt++ {
 		d1 := p.Delay("profile/vgg-11/t4", attempt)
@@ -169,7 +168,7 @@ func TestDelayDeterministicAndBounded(t *testing.T) {
 		if d1 != d2 {
 			t.Fatalf("attempt %d: delay not deterministic: %v vs %v", attempt, d1, d2)
 		}
-		// Nominal delay is base*mult^(attempt-1) clamped at MaxDelay;
+		// Nominal delay is base*2^(attempt-1) clamped at MaxDelay;
 		// jitter spreads ±25% around it.
 		nominal := float64(10*time.Millisecond) * float64(int(1)<<(attempt-1))
 		if nominal > float64(80*time.Millisecond) {
@@ -188,120 +187,5 @@ func TestDelayDeterministicAndBounded(t *testing.T) {
 	zero := Policy{MaxAttempts: 3, JitterFrac: 0.25}
 	if d := zero.Delay("k", 2); d != 0 {
 		t.Errorf("zero BaseDelay should yield zero delay, got %v", d)
-	}
-}
-
-func TestMapRetriesPerTask(t *testing.T) {
-	p := noSleep(Policy{MaxAttempts: 3, Classify: FaultErrors})
-	var mu = make(chan struct{}, 1)
-	fails := map[int]int{1: 2} // task 1 fails its first two attempts
-	mu <- struct{}{}
-	results, errs, err := Map(context.Background(), 4, 3, p, MapOptions{},
-		func(_ context.Context, i, attempt int) (int, error) {
-			<-mu
-			left := fails[i]
-			if left > 0 {
-				fails[i] = left - 1
-				mu <- struct{}{}
-				return 0, faults.Transientf("task %d attempt %d", i, attempt)
-			}
-			mu <- struct{}{}
-			return i * 10, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int{0, 10, 20} {
-		if errs[i] != nil || results[i] != want {
-			t.Errorf("task %d: (%v, %v), want (%d, nil)", i, results[i], errs[i], want)
-		}
-	}
-}
-
-func TestMapPartialFailureContinues(t *testing.T) {
-	p := noSleep(Policy{MaxAttempts: 2, Classify: FaultErrors})
-	results, errs, err := Map(context.Background(), 2, 4, p, MapOptions{},
-		func(_ context.Context, i, _ int) (int, error) {
-			if i == 2 {
-				return 0, faults.Permanentf("cell %d is cursed", i)
-			}
-			return i, nil
-		})
-	if err != nil {
-		t.Fatalf("a permanent per-task failure must not stop the run: %v", err)
-	}
-	for i := 0; i < 4; i++ {
-		if i == 2 {
-			if !faults.IsPermanent(errs[i]) {
-				t.Errorf("task 2 err = %v, want permanent", errs[i])
-			}
-			continue
-		}
-		if errs[i] != nil || results[i] != i {
-			t.Errorf("task %d: (%v, %v)", i, results[i], errs[i])
-		}
-	}
-}
-
-func TestMapAbortStopsRun(t *testing.T) {
-	p := noSleep(Policy{MaxAttempts: 3, Classify: FaultErrors})
-	_, _, err := Map(context.Background(), 2, 4, p, MapOptions{},
-		func(_ context.Context, i, _ int) (int, error) {
-			if i == 1 {
-				return 0, faults.Preemptedf("instance reclaimed")
-			}
-			return i, nil
-		})
-	if !faults.IsPreempted(err) {
-		t.Errorf("run error = %v, want the preemption surfaced", err)
-	}
-	var ae *par.AbortError
-	if !errors.As(err, &ae) && !faults.IsPreempted(err) {
-		t.Errorf("abort should carry the cause: %v", err)
-	}
-}
-
-func TestMapOnFailureObservesAttempts(t *testing.T) {
-	p := noSleep(Policy{MaxAttempts: 3, Classify: FaultErrors})
-	type obs struct{ i, attempt int }
-	var seen []obs
-	_, errs, err := Map(context.Background(), 1, 1, p, MapOptions{
-		OnFailure: func(i, attempt int, err error) {
-			seen = append(seen, obs{i, attempt})
-			if !faults.IsTransient(err) {
-				t.Errorf("observed err = %v", err)
-			}
-		},
-	}, func(_ context.Context, i, attempt int) (int, error) {
-		if attempt < 3 {
-			return 0, faults.Transientf("hiccup")
-		}
-		return 1, nil
-	})
-	if err != nil || errs[0] != nil {
-		t.Fatalf("err=%v errs=%v", err, errs)
-	}
-	if len(seen) != 2 || seen[0] != (obs{0, 1}) || seen[1] != (obs{0, 2}) {
-		t.Errorf("observed failures = %v, want [{0 1} {0 2}]", seen)
-	}
-}
-
-func TestMapFirstAttemptResume(t *testing.T) {
-	p := noSleep(Policy{MaxAttempts: 3, Classify: FaultErrors})
-	var first int
-	_, errs, err := Map(context.Background(), 1, 1, p, MapOptions{
-		Key:          func(int) string { return "profile/vgg-11/t4" },
-		FirstAttempt: func(int) int { return 3 },
-	}, func(_ context.Context, _, attempt int) (int, error) {
-		if first == 0 {
-			first = attempt
-		}
-		return attempt, nil
-	})
-	if err != nil || errs[0] != nil {
-		t.Fatalf("err=%v errs=%v", err, errs)
-	}
-	if first != 3 {
-		t.Errorf("resumed task started at attempt %d, want 3", first)
 	}
 }

@@ -74,12 +74,12 @@ func appendCandidate(b []byte, m *candMeta, market bool, c *ceer.Candidate, f *f
 	return append(b, '}')
 }
 
-// generationFor returns the generation that answers the request and
-// the slot of the requested graph in it: the serving generation at the
-// compiled batch size, or, at any other batch, a generation over the
-// requested graph compiled alone from the serving generation's
-// predictor (once per request, so it answers like a daemon compiled at
-// that batch).
+// generationFor returns the generation that answers a predict,
+// recommend or explain request and the slot of the requested graph in
+// it: the serving generation at the compiled batch size, or, at any
+// other batch, a generation over the requested graph compiled alone
+// from the serving generation's predictor (once per request, so it
+// answers like a daemon compiled at that batch).
 func (s *Server) generationFor(q *query, me *modelEntry) (*generation, int, error) {
 	gen := s.cur.Load()
 	if q.batch == s.batch {
@@ -245,7 +245,8 @@ func (s *Server) renderHealthz(sc *scratch, now int64) {
 }
 
 // handleExplain is the /v1/explain cold path: per-op-type attribution
-// read from the serving tables, marshaled with encoding/json.
+// read from the tables generationFor resolves (so a non-default batch
+// is explained like predict answers it), marshaled with encoding/json.
 //
 //hot:exempt cold diagnostic endpoint; allocates by design
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int64) {
@@ -278,7 +279,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 	if k == 0 {
 		k = 1
 	}
-	ex, err := s.Tables().ExplainIteration(me.g, ceer.GPUModel(q.gpu), k)
+	gen, slot, err := s.generationFor(&q, me)
+	if err != nil {
+		s.respondError(w, epExplain, http.StatusBadRequest, err.Error(), start)
+		return
+	}
+	ex, err := gen.comp.ExplainIteration(gen.graphs[slot], ceer.GPUModel(q.gpu), k)
 	if err != nil {
 		s.respondError(w, epExplain, http.StatusBadRequest, err.Error(), start)
 		return

@@ -253,7 +253,6 @@ func New(sys *ceer.System, opts Options) (*Server, error) {
 		MaxAttempts: 3,
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    50 * time.Millisecond,
-		Multiplier:  2,
 		Classify:    classifyReloadFault,
 	}
 

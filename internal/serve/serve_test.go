@@ -335,9 +335,10 @@ func TestExplainDegradedDevice(t *testing.T) {
 
 // TestExplainMatchesPredict: /v1/explain reads the same table as
 // /v1/predict and follows its sweep, so for every zoo model × device ×
-// k ∈ {1,2,4} the per-iteration fields and the degraded reason print
-// the same bytes on both endpoints. On the degraded predictor the G3
-// rows have no comm model, and both answer them without the comm term.
+// k ∈ {1,2,4}, at the compiled batch and at batch=64, the
+// per-iteration fields and the degraded reason print the same bytes on
+// both endpoints. On the degraded predictor the G3 rows have no comm
+// model, and both answer them without the comm term.
 func TestExplainMatchesPredict(t *testing.T) {
 	systems := []struct {
 		name string
@@ -351,47 +352,49 @@ func TestExplainMatchesPredict(t *testing.T) {
 				t.Fatal(err)
 			}
 			cells := 0
-			for _, model := range ceer.Models() {
-				status, body := s.DoLocal(http.MethodGet, "/v1/predict", "model="+model)
-				if status != http.StatusOK {
-					t.Fatalf("GET /v1/predict?model=%s: status %d: %s", model, status, body)
-				}
-				var pdoc struct {
-					Predictions []map[string]json.RawMessage `json:"predictions"`
-				}
-				if err := json.Unmarshal(body, &pdoc); err != nil {
-					t.Fatalf("GET /v1/predict?model=%s: %v\n%s", model, err, body)
-				}
-				for _, pred := range pdoc.Predictions {
-					var gpu string
-					var k int
-					if err := json.Unmarshal(pred["gpu"], &gpu); err != nil {
-						t.Fatal(err)
-					}
-					if err := json.Unmarshal(pred["k"], &k); err != nil {
-						t.Fatal(err)
-					}
-					if k == 3 {
-						continue
-					}
-					eq := fmt.Sprintf("model=%s&gpu=%s&k=%d", model, gpu, k)
-					status, body = s.DoLocal(http.MethodGet, "/v1/explain", eq)
+			for _, batch := range []string{"", "&batch=64"} {
+				for _, model := range ceer.Models() {
+					status, body := s.DoLocal(http.MethodGet, "/v1/predict", "model="+model+batch)
 					if status != http.StatusOK {
-						t.Fatalf("GET /v1/explain?%s: status %d: %s", eq, status, body)
+						t.Fatalf("GET /v1/predict?model=%s%s: status %d: %s", model, batch, status, body)
 					}
-					var edoc map[string]json.RawMessage
-					if err := json.Unmarshal(body, &edoc); err != nil {
-						t.Fatalf("GET /v1/explain?%s: %v\n%s", eq, err, body)
+					var pdoc struct {
+						Predictions []map[string]json.RawMessage `json:"predictions"`
 					}
-					for _, f := range fields {
-						if got, want := edoc[f], pred[f]; !bytes.Equal(got, want) {
-							t.Errorf("%s on %dx%s: explain %s = %s, predict %s = %s", model, k, gpu, f, got, f, want)
+					if err := json.Unmarshal(body, &pdoc); err != nil {
+						t.Fatalf("GET /v1/predict?model=%s%s: %v\n%s", model, batch, err, body)
+					}
+					for _, pred := range pdoc.Predictions {
+						var gpu string
+						var k int
+						if err := json.Unmarshal(pred["gpu"], &gpu); err != nil {
+							t.Fatal(err)
 						}
+						if err := json.Unmarshal(pred["k"], &k); err != nil {
+							t.Fatal(err)
+						}
+						if k == 3 {
+							continue
+						}
+						eq := fmt.Sprintf("model=%s&gpu=%s&k=%d%s", model, gpu, k, batch)
+						status, body = s.DoLocal(http.MethodGet, "/v1/explain", eq)
+						if status != http.StatusOK {
+							t.Fatalf("GET /v1/explain?%s: status %d: %s", eq, status, body)
+						}
+						var edoc map[string]json.RawMessage
+						if err := json.Unmarshal(body, &edoc); err != nil {
+							t.Fatalf("GET /v1/explain?%s: %v\n%s", eq, err, body)
+						}
+						for _, f := range fields {
+							if got, want := edoc[f], pred[f]; !bytes.Equal(got, want) {
+								t.Errorf("%s%s on %dx%s: explain %s = %s, predict %s = %s", model, batch, k, gpu, f, got, f, want)
+							}
+						}
+						cells++
 					}
-					cells++
 				}
 			}
-			if want := len(ceer.Models()) * len(ceer.AllConfigs(1)) * 3; cells != want {
+			if want := 2 * len(ceer.Models()) * len(ceer.AllConfigs(1)) * 3; cells != want {
 				t.Errorf("compared %d cells, want %d", cells, want)
 			}
 		})

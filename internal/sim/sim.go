@@ -43,12 +43,6 @@ type Profiler struct {
 	Workers int
 }
 
-// NewProfiler returns a profiler with the paper's defaults: 1,000
-// iterations, retaining 64 raw samples per node.
-func NewProfiler(seed uint64) *Profiler {
-	return &Profiler{Seed: seed, Iterations: 1000, Retain: 64}
-}
-
 func hashString(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s)) // fnv Write never fails

@@ -2,10 +2,11 @@
 # Tier-1+ verification gate (see README "Verification"): formatting,
 # vet, build, the full test suite, vet and tests of the perfbench
 # module, a race-detector pass over the whole module, short fuzz runs
-# of the JSON encoder, the JSONL journal codec and the observation
-# decoder, the ceer-lint static-analysis suite, the escape-analysis
-# cross-check, the calibration golden gate, the chaos determinism gate,
-# the experiments determinism gate, and a bench smoke run.
+# of the JSON encoder, the JSONL journal codec, the observation decoder
+# and the fault-spec parser, the ceer-lint static-analysis suite, the
+# escape-analysis cross-check, the calibration golden gate, the chaos
+# determinism gate, the experiments determinism gate, and a bench
+# smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +62,13 @@ echo "== fuzz: observation decoder vs encoding/json"
 # corpus under internal/trace/testdata/fuzz also runs in the plain test
 # step.
 go test -run '^$' -fuzz '^FuzzDecodeObs$' -fuzztime 10s ./internal/trace >/dev/null
+
+echo "== fuzz: fault-spec parser"
+# faults.ParseSpec, the parser behind -fault-spec: it never panics, and
+# any input it accepts is one valid JSON value whose spec validates,
+# builds an injector and re-encodes to a fixed point. The seed corpus
+# under internal/faults/testdata/fuzz also runs in the plain test step.
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults >/dev/null
 
 echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
