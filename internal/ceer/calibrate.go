@@ -78,12 +78,13 @@ type calibCell struct {
 	applied    int // observations folded into this cell
 	sinceRefit int
 	refits     int
-	// driftEvents counts entries into the drifted state; firstDrift is
-	// the 1-based applied index at the first entry (0 = never).
+	// driftEvents counts entries into the drifted state, an onset being
+	// a drifted verdict after one that was not; firstDrift is the
+	// 1-based applied index at the first entry (0 = never).
 	driftEvents int
 	firstDrift  int
-	inDrift     bool
-	last        drift.Verdict
+	// last is the latest verdict, reset by a refit.
+	last drift.Verdict
 }
 
 // Calibrator drives the observe→predict→calibrate loop over one
@@ -163,7 +164,7 @@ func (c *Calibrator) cell(om *OpModel) (*calibCell, error) {
 		// accumulator owned by the (possibly still serving) predictor.
 		st, err = regress.RestoreSuffStats(om.Stats.State())
 	} else {
-		st, err = regress.StatsForModel(om.Model())
+		st, err = regress.StatsForModel(om.Fit)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ceer: seeding calibration stats for %s/%s: %w", om.GPU, om.OpType, err)
@@ -193,8 +194,7 @@ func (c *Calibrator) Calibrate(o trace.Obs) error {
 		c.skippedUnmodeled++
 		return nil
 	}
-	model := om.Model()
-	if len(o.Features) != model.NumFeatures {
+	if len(o.Features) != om.Fit.NumFeatures {
 		c.skippedShape++
 		return nil
 	}
@@ -205,7 +205,7 @@ func (c *Calibrator) Calibrate(o trace.Obs) error {
 
 	// Observe: residual of the live model, clamped like the serving
 	// path clamps.
-	pred := model.Predict(o.Features)
+	pred := om.Fit.Predict(o.Features)
 	if pred < 0 {
 		pred = 0
 	}
@@ -217,17 +217,13 @@ func (c *Calibrator) Calibrate(o trace.Obs) error {
 
 	// Judge.
 	v := drift.Evaluate(c.pol.Drift, cl.stats)
-	cl.last = v
-	if v.Drifted && !cl.inDrift {
-		cl.inDrift = true
+	if v.Drifted && !cl.last.Drifted {
 		cl.driftEvents++
 		if cl.firstDrift == 0 {
 			cl.firstDrift = cl.applied
 		}
 	}
-	if !v.Drifted {
-		cl.inDrift = false
-	}
+	cl.last = v
 
 	// Refit when drifted or scheduled, once enough data accumulated.
 	due := v.Drifted || (c.pol.RefitEvery > 0 && cl.sinceRefit >= c.pol.RefitEvery)
@@ -258,11 +254,11 @@ func (c *Calibrator) refit(om *OpModel, cl *calibCell) error {
 		return fmt.Errorf("ceer: snapshotting recalibrated stats for %s/%s: %w", om.GPU, om.OpType, err)
 	}
 	next := &OpModel{
-		GPU:       om.GPU,
-		OpType:    om.OpType,
-		Selection: &regress.Selection{Chosen: model},
-		TrainObs:  cl.stats.N(),
-		Stats:     stats,
+		GPU:      om.GPU,
+		OpType:   om.OpType,
+		Fit:      model,
+		TrainObs: cl.stats.N(),
+		Stats:    stats,
 	}
 	pred := c.pred.withOpModel(next)
 	if c.box != nil {
@@ -277,7 +273,6 @@ func (c *Calibrator) refit(om *OpModel, cl *calibCell) error {
 	c.pred = pred
 	cl.refits++
 	cl.sinceRefit = 0
-	cl.inDrift = false
 	cl.stats.ResetResidualWindow()
 	cl.last = drift.Verdict{}
 	c.refits++

@@ -298,7 +298,7 @@ func TestCalibrateSkipCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	feats := make([]float64, om.Model().NumFeatures)
+	feats := make([]float64, om.Fit.NumFeatures)
 	for i := range feats {
 		feats[i] = float64(i + 1)
 	}
@@ -345,7 +345,7 @@ func TestCalibrateV2PredictorSeedsEmptyStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feats := make([]float64, om.Model().NumFeatures)
+	feats := make([]float64, om.Fit.NumFeatures)
 	for i := range feats {
 		feats[i] = float64(i + 1)
 	}

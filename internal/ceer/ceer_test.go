@@ -118,10 +118,10 @@ func TestHeavyOpModelQuality(t *testing.T) {
 	}
 	lowR2 := 0
 	for _, om := range models {
-		if om.Model().R2 < 0.80 {
+		if om.Fit.R2 < 0.80 {
 			lowR2++
 			t.Logf("low R² %.3f for %s on %s (n=%d, degree %d)",
-				om.Model().R2, om.OpType, om.GPU.Family(), om.TrainObs, om.Model().Degree)
+				om.Fit.R2, om.OpType, om.GPU.Family(), om.TrainObs, om.Fit.Degree)
 		}
 	}
 	if lowR2 > 8 {
@@ -169,7 +169,7 @@ func TestQuadraticSelectedForBackpropFilter(t *testing.T) {
 		if !ok {
 			t.Fatalf("no Conv2DBackpropFilter model for %s", m.Family())
 		}
-		if om.Model().Degree == 2 {
+		if om.Fit.Degree == 2 {
 			quadCount++
 		}
 	}
@@ -179,7 +179,7 @@ func TestQuadraticSelectedForBackpropFilter(t *testing.T) {
 	// Most pure memory-bound ops should stay linear.
 	linCount := 0
 	for _, m := range gpu.All() {
-		if om, ok := p.OpModelFor(m, ops.Relu); ok && om.Model().Degree == 1 {
+		if om, ok := p.OpModelFor(m, ops.Relu); ok && om.Fit.Degree == 1 {
 			linCount++
 		}
 	}

@@ -207,7 +207,7 @@ func (c *CompiledPredictor) evalRun(di, start int, om *OpModel) (int, error) {
 	for end < c.nc && classes[end].Rep.Op.Type == t {
 		end++
 	}
-	arity := om.Model().NumFeatures
+	arity := om.Fit.NumFeatures
 	feats := make([]float64, 0, (end-start)*arity)
 	for ci := start; ci < end; ci++ {
 		if len(classes[ci].Features) != arity {
@@ -217,7 +217,7 @@ func (c *CompiledPredictor) evalRun(di, start int, om *OpModel) (int, error) {
 		feats = append(feats, classes[ci].Features...)
 	}
 	dst := c.times[di*c.nc+start : di*c.nc+end]
-	om.Model().PredictBatch(dst, feats)
+	om.Fit.PredictBatch(dst, feats)
 	for i := range dst {
 		if dst[i] < 0 {
 			dst[i] = 0

@@ -86,11 +86,10 @@ func (e *PersistError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *PersistError) Unwrap() error { return e.Err }
 
-// predictorJSON is the serialized form of a trained Predictor. Only the
-// chosen per-op models are persisted (the rejected selection candidates
-// are training-time artifacts). Devices appear exclusively as their
-// registry ID strings, so a saved predictor round-trips regardless of
-// the order (or number) of devices registered by the loading process.
+// predictorJSON is the serialized form of a trained Predictor. Devices
+// appear exclusively as their registry ID strings, so a saved predictor
+// round-trips regardless of the order (or number) of devices registered
+// by the loading process.
 type predictorJSON struct {
 	Version int `json:"version"`
 
@@ -162,7 +161,7 @@ func (p *Predictor) Save(w io.Writer) error {
 			Device:   string(om.GPU),
 			OpType:   om.OpType,
 			TrainObs: om.TrainObs,
-			Model:    om.Model(),
+			Model:    om.Fit,
 		}
 		if om.Stats != nil {
 			st := om.Stats.State()
@@ -264,10 +263,10 @@ func load(r io.Reader, path string) (*Predictor, error) {
 			p.opModels[m] = make(map[ops.Type]*OpModel)
 		}
 		loaded := &OpModel{
-			GPU:       m,
-			OpType:    om.OpType,
-			TrainObs:  om.TrainObs,
-			Selection: &regress.Selection{Chosen: om.Model},
+			GPU:      m,
+			OpType:   om.OpType,
+			TrainObs: om.TrainObs,
+			Fit:      om.Model,
 		}
 		if om.Stats != nil {
 			st, err := regress.RestoreSuffStats(*om.Stats)

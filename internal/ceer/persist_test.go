@@ -424,3 +424,43 @@ func TestSaveLoadDegradedRoundtrip(t *testing.T) {
 		t.Errorf("DegradedDevices = %v, want [m60]", got)
 	}
 }
+
+// FuzzLoad: the predictor loader never panics, every failure is a
+// *PersistError, and an accepted file is a fixed point of the format:
+// Save, then Load, then Save again reproduces the first Save's bytes.
+// The seeds are both committed predictors (v3 and v2, read here) plus
+// the small corrupt files under testdata/fuzz/FuzzLoad, which also run
+// in the plain test step.
+func FuzzLoad(f *testing.F) {
+	for _, name := range []string{"predictor_seed1_golden.json", "predictor_seed1_v2.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		p, err := Load(bytes.NewReader(in))
+		if err != nil {
+			var pe *PersistError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Load error %v is a %T, want *PersistError", err, err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := p.Save(&first); err != nil {
+			t.Fatalf("saving an accepted predictor: %v", err)
+		}
+		q, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved predictor: %v\n%s", err, first.Bytes())
+		}
+		if err := q.Save(&second); err != nil {
+			t.Fatalf("re-saving a reloaded predictor: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save → Load → Save changed the bytes:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

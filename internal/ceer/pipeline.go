@@ -472,9 +472,9 @@ func (p *Predictor) EvaluateOpModels(test *trace.Bundle) []OpModelEval {
 		out = append(out, OpModelEval{
 			GPU:      om.GPU,
 			OpType:   om.OpType,
-			Degree:   om.Model().Degree,
-			TrainR2:  om.Model().R2,
-			TestMAPE: om.Model().MAPE(xs, ys),
+			Degree:   om.Fit.Degree,
+			TrainR2:  om.Fit.R2,
+			TestMAPE: om.Fit.MAPE(xs, ys),
 			TestObs:  len(xs),
 		})
 	}

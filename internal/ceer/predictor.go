@@ -18,9 +18,8 @@ import (
 type OpModel struct {
 	GPU    gpu.ID
 	OpType ops.Type
-	// Selection holds the linear and (when fit) quadratic candidates and
-	// the chosen model.
-	Selection *regress.Selection
+	// Fit is the model regress.Select chose for this op.
+	Fit *regress.Model
 	// TrainObs is the number of (instance) observations used.
 	TrainObs int
 	// Stats holds the chosen model's training-time sufficient
@@ -29,9 +28,6 @@ type OpModel struct {
 	// empty accumulator from the model shape instead).
 	Stats *regress.SuffStats
 }
-
-// Model returns the chosen regression model.
-func (m *OpModel) Model() *regress.Model { return m.Selection.Chosen }
 
 // CommModel is the fitted per-(GPU, k) communication-overhead model:
 // overhead seconds as a linear function of the parameter count.
@@ -159,11 +155,11 @@ func TrainWithDegree(bundle *trace.Bundle, commObs []CommObs, degree int) (*Pred
 		}
 		p.opModels[m] = make(map[ops.Type]*OpModel, len(byType))
 		for t, c := range byType {
-			sel, st, err := fitOpModel(c.xs, c.ys, degree)
+			fit, st, err := regress.Select(c.xs, c.ys, degree)
 			if err != nil {
 				return nil, fmt.Errorf("ceer: fitting %s on %s: %w", t, m.Family(), err)
 			}
-			p.opModels[m][t] = &OpModel{GPU: m, OpType: t, Selection: sel, TrainObs: len(c.ys), Stats: st}
+			p.opModels[m][t] = &OpModel{GPU: m, OpType: t, Fit: fit, TrainObs: len(c.ys), Stats: st}
 		}
 	}
 
@@ -240,49 +236,6 @@ func (p *Predictor) DegradedDevices() []gpu.ID {
 	return out
 }
 
-// fitOpModel fits one heavy-op model, honoring a forced degree, and
-// accumulates the chosen model's sufficient statistics so calibration
-// can continue the fit incrementally from its exact training state.
-func fitOpModel(xs [][]float64, ys []float64, degree int) (*regress.Selection, *regress.SuffStats, error) {
-	sel, err := selectOpModel(xs, ys, degree)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := regress.StatsForModel(sel.Chosen)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range xs {
-		st.Add(xs[i], ys[i])
-	}
-	return sel, st, nil
-}
-
-// selectOpModel picks the model per the forced-degree rules.
-func selectOpModel(xs [][]float64, ys []float64, degree int) (*regress.Selection, error) {
-	switch degree {
-	case 0:
-		return regress.SelectDegree(xs, ys)
-	case 1:
-		lin, err := regress.Fit(xs, ys, 1)
-		if err != nil {
-			return nil, err
-		}
-		return &regress.Selection{Chosen: lin, Linear: lin}, nil
-	default:
-		quad, err := regress.Fit(xs, ys, 2)
-		if err != nil {
-			// Too few observations for a quadratic: fall back to linear.
-			lin, lerr := regress.Fit(xs, ys, 1)
-			if lerr != nil {
-				return nil, err
-			}
-			return &regress.Selection{Chosen: lin, Linear: lin}, nil
-		}
-		return &regress.Selection{Chosen: quad, Quadratic: quad}, nil
-	}
-}
-
 // OpModelFor returns the heavy-op model for (GPU, type), if trained.
 func (p *Predictor) OpModelFor(m gpu.ID, t ops.Type) (*OpModel, bool) {
 	om, ok := p.opModels[m][t]
@@ -320,7 +273,7 @@ func (p *Predictor) PredictComm(m gpu.ID, k int, params int64) (float64, error) 
 	if !ok {
 		return 0, fmt.Errorf("ceer: no communication model for %s k=%d", m.Family(), k)
 	}
-	s := cm.Fit.PredictScalar(float64(params))
+	s := cm.Fit.Predict([]float64{float64(params)})
 	if s < 0 {
 		s = 0
 	}
@@ -394,7 +347,7 @@ func (p *Predictor) PredictIterationUnfolded(g *graph.Graph, m gpu.ID, k int, v 
 				}
 				continue
 			}
-			pred := om.Model().Predict(n.Op.Features())
+			pred := om.Fit.Predict(n.Op.Features())
 			if pred < 0 {
 				pred = 0
 			}

@@ -353,19 +353,48 @@ func TestSec4AClaims(t *testing.T) {
 	}
 }
 
+// Accuracy bands at test depth (seed 21, 60 profiling iterations). The
+// measured values are pinned with the margin each band leaves, so a
+// change to fitting or selection that moves prediction quality fails
+// here, not only in the experiments report.
+const (
+	// minTrainR2: measured 0.990 (the worst op model); margin 0.02.
+	minTrainR2 = 0.97
+	// maxMedianOpMAPE: measured 3.14% median held-out per-op MAPE
+	// (paper band 2-10%); margin 1.86 points.
+	maxMedianOpMAPE = 0.05
+	// maxOverallMeanErr: measured 1.71% over the 48 test runs (paper
+	// ~4.2%); margin 1.29 points. All-linear models measure 22.0% in
+	// the selection ablation.
+	maxOverallMeanErr = 0.03
+	// maxOverallMaxErr: measured 8.93%; margin 3.07 points.
+	maxOverallMaxErr = 0.12
+)
+
 func TestSec4BClaims(t *testing.T) {
 	r, err := Sec4B(testContext(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.R2Max > 1.0001 || r.R2Min < 0.5 {
-		t.Errorf("R² range [%.2f, %.2f] out of sane bounds", r.R2Min, r.R2Max)
+	if r.R2Max > 1.0001 || r.R2Min < minTrainR2 {
+		t.Errorf("R² range [%.3f, %.3f], want within [%.2f, 1]", r.R2Min, r.R2Max, minTrainR2)
 	}
-	if r.MedianTestMAPE > 0.10 {
-		t.Errorf("median per-op MAPE = %.1f%% (paper band 2-10%%)", r.MedianTestMAPE*100)
+	if r.MedianTestMAPE > maxMedianOpMAPE {
+		t.Errorf("median per-op MAPE = %.2f%%, want <= %.0f%% (measured 3.14%%)",
+			r.MedianTestMAPE*100, maxMedianOpMAPE*100)
 	}
-	if len(r.QuadraticOps) == 0 {
-		t.Error("some operations should have selected a quadratic fit")
+	// The paper's example of an op that needs the quadratic terms
+	// selects degree 2 on every device (Section IV-B).
+	degree := make(map[gpu.ID]int)
+	for _, e := range r.Evals {
+		if e.OpType == ops.Conv2DBackpropFilter {
+			degree[e.GPU] = e.Degree
+		}
+	}
+	for _, m := range gpu.All() {
+		if d, ok := degree[m]; !ok || d != 2 {
+			t.Errorf("%s Conv2DBackpropFilter model: degree %d (evaluated %v), want 2", m.Family(), d, ok)
+		}
 	}
 }
 
@@ -377,8 +406,13 @@ func TestOverallClaim(t *testing.T) {
 	if r.Runs != 48 {
 		t.Errorf("runs = %d, want 48", r.Runs)
 	}
-	if r.MeanErr > 0.10 {
-		t.Errorf("overall mean error = %.1f%% (paper: ~4.2%%)", r.MeanErr*100)
+	if r.MeanErr > maxOverallMeanErr {
+		t.Errorf("overall mean error = %.2f%%, want <= %.0f%% (measured 1.71%%; paper ~4.2%%)",
+			r.MeanErr*100, maxOverallMeanErr*100)
+	}
+	if r.MaxErr > maxOverallMaxErr {
+		t.Errorf("overall max error = %.2f%%, want <= %.0f%% (measured 8.93%%)",
+			r.MaxErr*100, maxOverallMaxErr*100)
 	}
 }
 

@@ -127,7 +127,7 @@ func ExtSelection(c *Context) (*ExtSelectionResult, error) {
 			return nil, fmt.Errorf("experiments: training %s variant: %w", name, err)
 		}
 		for _, om := range pred.OpModels() {
-			if om.Model().Degree == 2 {
+			if om.Fit.Degree == 2 {
 				res.QuadCount[name]++
 			}
 		}

@@ -256,6 +256,37 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateStragglerDelayBound pins the upper bound on
+// straggler_delay_ms: a delay whose time.Duration would overflow (and
+// wrap negative, which the campaign never waits for) is rejected, and
+// the largest representable one is accepted with a positive delay.
+func TestSpecValidateStragglerDelayBound(t *testing.T) {
+	cases := []struct {
+		name string
+		in   string
+		ok   bool
+	}{
+		{"overflowing delay", `{"seed":1,"straggler_rate":0.99,"straggler_delay_ms":10000000000000}`, false},
+		{"one past the bound", fmt.Sprintf(`{"seed":1,"straggler_rate":0.5,"straggler_delay_ms":%d}`, maxStragglerDelayMS+1), false},
+		{"the bound", fmt.Sprintf(`{"seed":1,"straggler_rate":0.5,"straggler_delay_ms":%d}`, maxStragglerDelayMS), true},
+	}
+	for _, c := range cases {
+		s, err := ParseSpec(strings.NewReader(c.in))
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%s: accepted %s", c.name, c.in)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: rejected %s: %v", c.name, c.in, err)
+		}
+		if d := time.Duration(s.StragglerDelayMS) * time.Millisecond; d <= 0 {
+			t.Errorf("%s: delay %v is not positive", c.name, d)
+		}
+	}
+}
+
 func TestSpecEnabled(t *testing.T) {
 	var nilSpec *Spec
 	if nilSpec.Enabled() {
@@ -307,8 +338,8 @@ func TestParseSpec(t *testing.T) {
 
 // FuzzParseSpec: the fault-spec parser never panics, and any input it
 // accepts is one valid JSON value whose spec validates, builds an
-// injector that draws without panicking, and re-encodes to a fixed
-// point. The seed corpus under testdata/fuzz/FuzzParseSpec also runs in
+// injector that draws without panicking, has a non-negative straggler
+// delay, and re-encodes to a fixed point. The seed corpus under testdata/fuzz/FuzzParseSpec also runs in
 // the plain test step.
 func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -328,6 +359,11 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		// Only a panic fails here: any fault is a valid draw.
 		_, _ = inj.Inject(Op{Stage: "comm", CNN: "vgg-11", Device: "v100", K: 2, Attempt: 1})
+		// The straggler delay, computed as Inject computes it, is never
+		// negative: a negative one would silently skip the wait.
+		if d := time.Duration(s.StragglerDelayMS) * time.Millisecond; d < 0 {
+			t.Fatalf("accepted %q, whose straggler delay %v is negative", in, d)
+		}
 		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted %q, whose spec does not encode: %v", in, err)

@@ -3,7 +3,9 @@ package faults
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"time"
 
 	"ceer/internal/jsonl"
 )
@@ -38,7 +40,8 @@ type Spec struct {
 	// itself still succeeds or fails per the rates above).
 	StragglerRate float64 `json:"straggler_rate,omitempty"`
 
-	// StragglerDelayMS is the injected straggler latency, milliseconds.
+	// StragglerDelayMS is the injected straggler latency, milliseconds,
+	// at most maxStragglerDelayMS.
 	StragglerDelayMS int `json:"straggler_delay_ms,omitempty"`
 
 	// Preempt lists deterministic preemption points: when the named
@@ -64,7 +67,14 @@ type PreemptPoint struct {
 	Attempt int `json:"attempt"`
 }
 
-// Validate checks the spec's rates and preemption points.
+// maxStragglerDelayMS is the largest straggler delay whose
+// time.Duration (Inject multiplies by time.Millisecond) does not
+// overflow: a larger one wraps negative, and a negative delay is never
+// waited for.
+const maxStragglerDelayMS = math.MaxInt64 / int64(time.Millisecond)
+
+// Validate checks the spec's rates, straggler delay and preemption
+// points.
 func (s *Spec) Validate() error {
 	check := func(name string, rate float64) error {
 		if rate < 0 || rate >= 1 {
@@ -83,6 +93,10 @@ func (s *Spec) Validate() error {
 	}
 	if s.StragglerDelayMS < 0 {
 		return fmt.Errorf("faults: straggler_delay_ms %d is negative", s.StragglerDelayMS)
+	}
+	if int64(s.StragglerDelayMS) > maxStragglerDelayMS {
+		return fmt.Errorf("faults: straggler_delay_ms %d exceeds %d, the longest delay a time.Duration holds",
+			s.StragglerDelayMS, maxStragglerDelayMS)
 	}
 	for i, p := range s.Preempt {
 		if p.Attempt < 1 {

@@ -2,19 +2,18 @@ package regress
 
 import "fmt"
 
-// PredictBatch evaluates the model over a struct-of-arrays feature
-// matrix: feats holds len(dst) rows of NumFeatures raw features each,
-// stored contiguously row-major, and the i-th prediction is written to
-// dst[i]. It exists for table-building paths (compiled predictors)
-// that evaluate one model over many feature vectors: Predict allocates
-// a scaled copy and a polynomial expansion per call, PredictBatch
-// allocates one scratch row for the whole batch and accumulates the
-// expansion terms in place.
+// PredictBatch is the model's one evaluator. It evaluates the model
+// over a struct-of-arrays feature matrix: feats holds len(dst) rows of
+// NumFeatures raw features each, stored contiguously row-major, and the
+// i-th prediction is written to dst[i]. Predict is a one-row call; the
+// compiled tables evaluate one model over a whole run of classes. One
+// scratch row of scaled features serves the whole batch.
 //
-// The arithmetic mirrors Predict exactly — same normalization, same
-// term order (linear columns, then squares and cross products in
-// expansion order) — so PredictBatch(dst, feats)[i] is bit-identical
-// to Predict(row_i). It panics on a shape mismatch, like Predict.
+// Each row is normalized by the training scale, and β₀ + Σ βᵢ·φᵢ(x) is
+// summed in the order SuffStats.Add expands a row: the linear columns,
+// then (degree 2) the squares and cross products xᵢ·xⱼ, i ≤ j,
+// row-major. The terms are formed inline, without building an expanded
+// row per evaluation. It panics on a shape mismatch.
 func (m *Model) PredictBatch(dst []float64, feats []float64) {
 	nf := m.NumFeatures
 	if len(feats) != len(dst)*nf {

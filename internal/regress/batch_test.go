@@ -44,9 +44,36 @@ func fitRandom(t *testing.T, seed uint64, nf, degree, rows int) (*Model, [][]flo
 	return m, queries
 }
 
-// TestPredictBatchMatchesPredict pins the contract: PredictBatch is
-// bit-identical to per-row Predict, for linear and quadratic models
-// across feature arities.
+// referencePredict evaluates m at x independently of PredictBatch:
+// scale the raw features, expand them into one row in SuffStats.Add's
+// order (the linear columns, then for degree 2 the squares and cross
+// products xᵢ·xⱼ, i ≤ j, row-major), and sum the coefficient products
+// after the intercept, left to right.
+func referencePredict(m *Model, x []float64) float64 {
+	scaled := make([]float64, len(x))
+	for j := range x {
+		scaled[j] = x[j] / m.scale[j]
+	}
+	row := append([]float64(nil), scaled...)
+	if m.Degree == 2 {
+		for i := range scaled {
+			for j := i; j < len(scaled); j++ {
+				row = append(row, scaled[i]*scaled[j])
+			}
+		}
+	}
+	y := m.Coef[0]
+	for i, v := range row {
+		y += m.Coef[i+1] * v
+	}
+	return y
+}
+
+// TestPredictBatchMatchesPredict pins the evaluator's arithmetic:
+// PredictBatch, and Predict, its one-row form, equal the test-local
+// reference evaluation bit for bit, for linear and quadratic models
+// across feature arities. A change of term order changes the rounding,
+// and fails here.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	for _, degree := range []int{1, 2} {
 		for _, nf := range []int{1, 2, 3, 6} {
@@ -58,30 +85,15 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			dst := make([]float64, len(queries))
 			m.PredictBatch(dst, feats)
 			for i, q := range queries {
-				if want := m.Predict(q); !eqExact(dst[i], want) {
-					t.Errorf("degree=%d nf=%d row %d: PredictBatch = %v, Predict = %v",
+				want := referencePredict(m, q)
+				if !eqExact(dst[i], want) {
+					t.Errorf("degree=%d nf=%d row %d: PredictBatch = %v, reference = %v",
 						degree, nf, i, dst[i], want)
 				}
-			}
-		}
-	}
-}
-
-// TestPredictBatchMatchesPredictScalar checks the single-feature fast
-// paths agree bit for bit.
-func TestPredictBatchMatchesPredictScalar(t *testing.T) {
-	for _, degree := range []int{1, 2} {
-		m, queries := fitRandom(t, uint64(7+degree), 1, degree, 9)
-		feats := make([]float64, len(queries))
-		for i, q := range queries {
-			feats[i] = q[0]
-		}
-		dst := make([]float64, len(queries))
-		m.PredictBatch(dst, feats)
-		for i := range queries {
-			if want := m.PredictScalar(feats[i]); !eqExact(dst[i], want) {
-				t.Errorf("degree=%d row %d: PredictBatch = %v, PredictScalar = %v",
-					degree, i, dst[i], want)
+				if got := m.Predict(q); !eqExact(got, want) {
+					t.Errorf("degree=%d nf=%d row %d: Predict = %v, reference = %v",
+						degree, nf, i, got, want)
+				}
 			}
 		}
 	}
@@ -94,14 +106,14 @@ func TestPredictBatchEmpty(t *testing.T) {
 }
 
 // TestPredictBatchSingleRow pins the one-row degenerate case against
-// Predict, for both degrees.
+// the reference, for both degrees.
 func TestPredictBatchSingleRow(t *testing.T) {
 	for _, degree := range []int{1, 2} {
 		m, queries := fitRandom(t, uint64(40+degree), 3, degree, 1)
 		dst := make([]float64, 1)
 		m.PredictBatch(dst, queries[0])
-		if want := m.Predict(queries[0]); !eqExact(dst[0], want) {
-			t.Errorf("degree=%d: single-row PredictBatch = %v, Predict = %v", degree, dst[0], want)
+		if want := referencePredict(m, queries[0]); !eqExact(dst[0], want) {
+			t.Errorf("degree=%d: single-row PredictBatch = %v, reference = %v", degree, dst[0], want)
 		}
 	}
 }
@@ -137,8 +149,8 @@ func TestPredictBatchWidthMismatch(t *testing.T) {
 }
 
 // TestPredictBatchConcurrentBitIdentity hammers one shared model from
-// many goroutines, each comparing PredictBatch against per-row
-// Predict/PredictScalar bit for bit. Under -race this additionally pins
+// many goroutines, each comparing PredictBatch against the per-row
+// reference bit for bit. Under -race this additionally pins
 // that batch evaluation of a shared (immutable) model is data-race
 // free — the property the compiled-table hot-swap path relies on.
 func TestPredictBatchConcurrentBitIdentity(t *testing.T) {
@@ -158,13 +170,9 @@ func TestPredictBatchConcurrentBitIdentity(t *testing.T) {
 				for iter := 0; iter < 50; iter++ {
 					m.PredictBatch(dst, feats)
 					for i, q := range queries {
-						want := m.Predict(q)
-						if nf == 1 {
-							want = m.PredictScalar(q[0])
-						}
-						if !eqExact(dst[i], want) {
+						if !eqExact(dst[i], referencePredict(m, q)) {
 							select {
-							case errs <- "concurrent PredictBatch diverged from scalar path":
+							case errs <- "concurrent PredictBatch diverged from the reference":
 							default:
 							}
 							return

@@ -1,13 +1,17 @@
 // Package regress implements the regression machinery of Ceer: ordinary
-// least squares over multi-dimensional features, quadratic (degree-2
-// polynomial) feature expansion, goodness-of-fit metrics, and the
+// least squares over multi-dimensional features with quadratic (degree-2
+// polynomial) expansion, goodness-of-fit metrics, and the
 // linear-vs-quadratic model selection the paper applies per operation
 // type (Section IV-B).
 //
-// The solver works on the normal equations XᵀX β = Xᵀy with partial-pivot
-// Gaussian elimination and a small ridge fallback for ill-conditioned
-// designs, which is ample for the handful of features (input sizes) each
-// operation model uses.
+// There is one fit path and one evaluator. Select applies the selection
+// rule over FitStats, which accumulates the normal equations XᵀX β = Xᵀy
+// in a SuffStats and solves them (partial-pivot Gaussian elimination
+// with a small ridge fallback for ill-conditioned designs, ample for the
+// handful of features each operation model uses); training keeps the
+// accumulator Select returns, so calibration continues the exact fit.
+// PredictBatch evaluates a model over a feature matrix, and Predict is
+// a one-row call to it.
 package regress
 
 import (
@@ -40,25 +44,6 @@ type Model struct {
 	// expansion, so that features of wildly different magnitudes (bytes
 	// vs. FLOPs) condition the normal equations well.
 	scale []float64
-}
-
-// Expand maps a raw feature vector to its polynomial expansion (without
-// the intercept term). Degree 1 returns the features unchanged; degree 2
-// appends all squares and pairwise products.
-func Expand(x []float64, degree int) []float64 {
-	if degree <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, len(x)+len(x)*(len(x)+1)/2)
-	out = append(out, x...)
-	for i := 0; i < len(x); i++ {
-		for j := i; j < len(x); j++ {
-			out = append(out, x[i]*x[j])
-		}
-	}
-	return out
 }
 
 // Fit trains a polynomial model of the given degree on the observations
@@ -176,48 +161,35 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Predict evaluates the model at the raw feature vector x. It panics if
-// x has the wrong length; models are always applied to features produced
-// by the same extractor that produced the training rows.
+// Predict evaluates the model at the raw feature vector x: a one-row
+// PredictBatch, the one evaluator. It panics if x has the wrong
+// length; models are always applied to features produced by the same
+// extractor that produced the training rows.
 func (m *Model) Predict(x []float64) float64 {
+	m.checkArity(x)
+	var y [1]float64
+	m.PredictBatch(y[:], x)
+	return y[0]
+}
+
+// checkArity panics unless x has the model's feature count.
+func (m *Model) checkArity(x []float64) {
 	if len(x) != m.NumFeatures {
 		panic(fmt.Sprintf("regress: predict with %d features on a %d-feature model", len(x), m.NumFeatures))
 	}
-	scaled := make([]float64, len(x))
-	for j := range x {
-		scaled[j] = x[j] / m.scale[j]
-	}
-	ex := Expand(scaled, m.Degree)
-	y := m.Coef[0]
-	for i, v := range ex {
-		y += m.Coef[i+1] * v
-	}
-	return y
 }
 
-// PredictScalar evaluates a single-raw-feature model at x without
-// allocating (Predict builds scaled and expanded slices per call; the
-// serving path calls the communication model on every prediction). It
-// mirrors Predict's arithmetic exactly — same scaling, same term order —
-// so results are bit-identical. It panics on multi-feature models.
-func (m *Model) PredictScalar(x float64) float64 {
-	if m.NumFeatures != 1 {
-		panic(fmt.Sprintf("regress: PredictScalar on a %d-feature model", m.NumFeatures))
-	}
-	s := x / m.scale[0]
-	y := m.Coef[0]
-	y += m.Coef[1] * s
-	if m.Degree >= 2 {
-		y += m.Coef[2] * (s * s)
-	}
-	return y
-}
-
+// predictAll evaluates the model at every row of xs in one
+// PredictBatch, so a fit's R² takes one scratch row, not one per
+// training row. It panics on a row of the wrong length, like Predict.
 func (m *Model) predictAll(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
+	feats := make([]float64, 0, len(xs)*m.NumFeatures)
+	for _, x := range xs {
+		m.checkArity(x)
+		feats = append(feats, x...)
 	}
+	out := make([]float64, len(xs))
+	m.PredictBatch(out, feats)
 	return out
 }
 
@@ -270,36 +242,44 @@ func (m *Model) MAPE(xs [][]float64, ys []float64) float64 {
 	return sum / float64(n)
 }
 
-// Selection records the outcome of linear-vs-quadratic model selection
-// for one operation type.
-type Selection struct {
-	Chosen    *Model
-	Linear    *Model
-	Quadratic *Model // nil when the sample is too small to fit degree 2
-}
+// selectMargin is the training-R² gain a quadratic fit must exceed to
+// be chosen over the linear one.
+const selectMargin = 0.01
 
-// SelectDegree fits both a linear and (sample size permitting) a
-// quadratic model and returns the one with the better training R², with
-// a small preference margin for the simpler linear model. This mirrors
-// the paper's finding that linear regression suffices for most heavy
-// operations while a few (e.g. Conv2DBackpropFilter) need a quadratic
-// fit.
-func SelectDegree(xs [][]float64, ys []float64) (*Selection, error) {
-	lin, err := Fit(xs, ys, 1)
-	if err != nil {
-		return nil, err
+// Select fits the model the paper's per-operation rule picks (Section
+// IV-B) and returns it with the accumulator its own fit built (see
+// FitStats). Degree 0 selects: the quadratic is kept only when its
+// training R² beats the linear one by more than selectMargin, since
+// linear regression suffices for most heavy operations while a few
+// (e.g. Conv2DBackpropFilter) need the extra terms; a quadratic that
+// cannot be fit leaves the linear one. Degree 1 forces linear. Degree 2
+// forces quadratic, falling back to linear when the quadratic cannot
+// be fit, and returns the quadratic's error when neither can.
+func Select(xs [][]float64, ys []float64, degree int) (*Model, *SuffStats, error) {
+	switch degree {
+	case 0:
+		lin, linStats, err := FitStats(xs, ys, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		quad, quadStats, err := FitStats(xs, ys, 2)
+		if err == nil && quad.R2 > lin.R2+selectMargin {
+			return quad, quadStats, nil
+		}
+		return lin, linStats, nil
+	case 1:
+		return FitStats(xs, ys, 1)
+	case 2:
+		quad, quadStats, err := FitStats(xs, ys, 2)
+		if err == nil {
+			return quad, quadStats, nil
+		}
+		lin, linStats, linErr := FitStats(xs, ys, 1)
+		if linErr != nil {
+			return nil, nil, err
+		}
+		return lin, linStats, nil
+	default:
+		return nil, nil, fmt.Errorf("regress: unsupported selection degree %d", degree)
 	}
-	sel := &Selection{Chosen: lin, Linear: lin}
-	quad, err := Fit(xs, ys, 2)
-	if err != nil {
-		// Not enough samples (or singular): keep linear.
-		return sel, nil
-	}
-	sel.Quadratic = quad
-	// Require a meaningful improvement before paying for the extra terms.
-	const margin = 0.01
-	if quad.R2 > lin.R2+margin {
-		sel.Chosen = quad
-	}
-	return sel, nil
 }

@@ -1,7 +1,10 @@
 package regress
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,32 +12,6 @@ import (
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestExpandLinear(t *testing.T) {
-	x := []float64{2, 3}
-	got := Expand(x, 1)
-	if len(got) != 2 || !eqExact(got[0], 2) || !eqExact(got[1], 3) {
-		t.Errorf("Expand degree 1 = %v", got)
-	}
-	// Must be a copy.
-	got[0] = 99
-	if !eqExact(x[0], 2) {
-		t.Error("Expand shares memory with input")
-	}
-}
-
-func TestExpandQuadratic(t *testing.T) {
-	got := Expand([]float64{2, 3}, 2)
-	want := []float64{2, 3, 4, 6, 9} // x1, x2, x1², x1x2, x2²
-	if len(got) != len(want) {
-		t.Fatalf("Expand degree 2 len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !eqExact(got[i], want[i]) {
-			t.Errorf("Expand[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
 
 func TestFitExactLine(t *testing.T) {
 	// y = 3 + 2x, noiseless.
@@ -153,12 +130,19 @@ func TestPredictPanicsOnWrongArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Predict with wrong feature count should panic")
-		}
-	}()
-	m.Predict([]float64{1, 2})
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "predict with") {
+				t.Errorf("%s with a wrong feature count: panic %v, want the arity panic", name, r)
+			}
+		}()
+		f()
+	}
+	mustPanic("Predict", func() { m.Predict([]float64{1, 2}) })
+	// The two rows hold two values in all, as two one-feature rows
+	// would; each row is still checked.
+	mustPanic("RSquared", func() { m.RSquared([][]float64{{1, 2}, {}}, []float64{1, 2}) })
 }
 
 func TestRSquaredHeldOut(t *testing.T) {
@@ -189,8 +173,9 @@ func TestModelMAPE(t *testing.T) {
 	}
 }
 
-func TestSelectDegreePrefersLinearOnLinearData(t *testing.T) {
-	src := rng.New(1)
+// linearRows samples y = 5 + 2x with unit-scale noise.
+func linearRows(seed uint64) ([][]float64, []float64) {
+	src := rng.New(seed)
 	var xs [][]float64
 	var ys []float64
 	for i := 0; i < 60; i++ {
@@ -198,20 +183,12 @@ func TestSelectDegreePrefersLinearOnLinearData(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, 5+2*x+src.Normal()*0.5)
 	}
-	sel, err := SelectDegree(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Chosen.Degree != 1 {
-		t.Errorf("chose degree %d on linear data", sel.Chosen.Degree)
-	}
-	if sel.Quadratic == nil {
-		t.Error("quadratic candidate should have been fit")
-	}
+	return xs, ys
 }
 
-func TestSelectDegreePicksQuadraticOnQuadraticData(t *testing.T) {
-	src := rng.New(2)
+// quadraticRows samples y = 1 + 0.1x + 3x² with unit-scale noise.
+func quadraticRows(seed uint64) ([][]float64, []float64) {
+	src := rng.New(seed)
 	var xs [][]float64
 	var ys []float64
 	for i := 0; i < 60; i++ {
@@ -219,24 +196,106 @@ func TestSelectDegreePicksQuadraticOnQuadraticData(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, 1+0.1*x+3*x*x+src.Normal()*0.5)
 	}
-	sel, err := SelectDegree(xs, ys)
+	return xs, ys
+}
+
+func TestSelectPrefersLinearOnLinearData(t *testing.T) {
+	xs, ys := linearRows(1)
+	m, _, err := Select(xs, ys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.Chosen.Degree != 2 {
-		t.Errorf("chose degree %d on quadratic data (lin R2=%v quad R2=%v)",
-			sel.Chosen.Degree, sel.Linear.R2, sel.Quadratic.R2)
+	if m.Degree != 1 {
+		t.Errorf("chose degree %d on linear data", m.Degree)
 	}
 }
 
-func TestSelectDegreeSmallSampleFallsBack(t *testing.T) {
-	// 2 points: linear fits, quadratic can't.
-	sel, err := SelectDegree([][]float64{{1}, {2}}, []float64{1, 2})
+func TestSelectPicksQuadraticOnQuadraticData(t *testing.T) {
+	xs, ys := quadraticRows(2)
+	m, _, err := Select(xs, ys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.Chosen.Degree != 1 || sel.Quadratic != nil {
-		t.Error("small sample should fall back to linear")
+	if m.Degree != 2 {
+		t.Errorf("chose degree %d on quadratic data (R2=%v)", m.Degree, m.R2)
+	}
+}
+
+func TestSelectSmallSampleFallsBack(t *testing.T) {
+	// 2 points: linear fits, quadratic can't, whether selected or forced.
+	for _, degree := range []int{0, 2} {
+		m, _, err := Select([][]float64{{1}, {2}}, []float64{1, 2}, degree)
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if m.Degree != 1 {
+			t.Errorf("degree %d: small sample chose degree %d, want the linear fallback", degree, m.Degree)
+		}
+	}
+}
+
+// TestSelectErrors pins the failure cases: a forced quadratic that
+// cannot fall back reports the quadratic's own error, and an unknown
+// degree is rejected.
+func TestSelectErrors(t *testing.T) {
+	_, _, err := Select([][]float64{{1}}, []float64{1}, 2)
+	if err == nil || !strings.Contains(err.Error(), "3 parameters") {
+		t.Errorf("forced quadratic on one row: err = %v, want the quadratic's insufficient-rows error", err)
+	}
+	if _, _, err := Select([][]float64{{1}}, []float64{1}, 0); err == nil {
+		t.Error("selection on one row should fail with the linear fit")
+	}
+	xs, ys := linearRows(3)
+	if _, _, err := Select(xs, ys, 3); err == nil {
+		t.Error("degree 3 should be rejected")
+	}
+}
+
+// TestSelectReturnsItsFitsStats pins that the statistics Select returns
+// are those its chosen model's own fit accumulated: they equal an
+// accumulator of the model's shape (StatsForModel) fed the same rows,
+// compared through State, and re-solving them reproduces the model.
+func TestSelectReturnsItsFitsStats(t *testing.T) {
+	linX, linY := linearRows(4)
+	quadX, quadY := quadraticRows(5)
+	cases := []struct {
+		name       string
+		xs         [][]float64
+		ys         []float64
+		degree     int
+		wantDegree int
+	}{
+		{"selected linear", linX, linY, 0, 1},
+		{"selected quadratic", quadX, quadY, 0, 2},
+		{"forced linear", quadX, quadY, 1, 1},
+		{"forced quadratic", linX, linY, 2, 2},
+		{"forced quadratic fallback", [][]float64{{1}, {2}}, []float64{1, 2}, 2, 1},
+	}
+	for _, c := range cases {
+		m, st, err := Select(c.xs, c.ys, c.degree)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if m.Degree != c.wantDegree {
+			t.Fatalf("%s: chose degree %d, want %d", c.name, m.Degree, c.wantDegree)
+		}
+		ref, err := StatsForModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.xs {
+			ref.Add(c.xs[i], c.ys[i])
+		}
+		if got, want := mustState(t, st), mustState(t, ref); !bytes.Equal(got, want) {
+			t.Errorf("%s: Select's statistics are not its model's fit:\n got %s\nwant %s", c.name, got, want)
+		}
+		re, err := st.Solve()
+		if err != nil {
+			t.Fatalf("%s: re-solving: %v", c.name, err)
+		}
+		if re.Degree != m.Degree || !coefsIdentical(re.Coef, m.Coef) {
+			t.Errorf("%s: re-solving the statistics gives %+v, want %+v", c.name, re, m)
+		}
 	}
 }
 

@@ -112,7 +112,9 @@ func StatsForModel(m *Model) (*SuffStats, error) {
 	return NewSuffStats(m.NumFeatures, m.Degree, m.scale)
 }
 
-// expandedLen is the length of Expand's output for nf raw features.
+// expandedLen is the length of the polynomial expansion of nf raw
+// features, without the intercept: the features, then (degree 2) their
+// squares and pairwise products.
 func expandedLen(nf, degree int) int {
 	if degree <= 1 {
 		return nf

@@ -31,9 +31,17 @@ BASELINE="${BENCH_BASELINE:-BENCH_predict.json}"
 GATE="${BENCH_GATE:-1}"
 
 echo "== serving-path benches (pkg=${PKG}, count=${COUNT}, benchtime=${TIME})"
+# The raw output goes to stderr through the inherited descriptor once
+# the run ends, not through `tee /dev/stderr`: reopening the target
+# truncates it when stderr is a regular file, erasing the caller's log.
+status=0
 raw=$(go test -run '^$' \
     -bench "${REGEX}" \
-    -benchmem -count "${COUNT}" -benchtime "${TIME}" "${PKG}" | tee /dev/stderr)
+    -benchmem -count "${COUNT}" -benchtime "${TIME}" "${PKG}") || status=$?
+printf '%s\n' "${raw}" >&2
+if [[ "${status}" -ne 0 ]]; then
+    exit "${status}"
+fi
 
 # Fold the repeated runs into one JSON document: ns/op and custom
 # metrics are the median of the -count repetitions (one slow run on a

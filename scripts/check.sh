@@ -2,11 +2,11 @@
 # Tier-1+ verification gate (see README "Verification"): formatting,
 # vet, build, the full test suite, vet and tests of the perfbench
 # module, a race-detector pass over the whole module, short fuzz runs
-# of the JSON encoder, the JSONL journal codec, the observation decoder
-# and the fault-spec parser, the ceer-lint static-analysis suite, the
-# escape-analysis cross-check, the calibration golden gate, the chaos
-# determinism gate, the experiments determinism gate, and a bench
-# smoke run.
+# of the JSON encoder, the JSONL journal codec, the observation decoder,
+# the fault-spec parser and the predictor loader, the ceer-lint
+# static-analysis suite, the escape-analysis cross-check, the
+# calibration golden gate, the chaos determinism gate, the experiments
+# determinism gate, and a bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,6 +69,14 @@ echo "== fuzz: fault-spec parser"
 # builds an injector and re-encodes to a fixed point. The seed corpus
 # under internal/faults/testdata/fuzz also runs in the plain test step.
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults >/dev/null
+
+echo "== fuzz: predictor loader"
+# ceer.Load, the reader of every model file (ceer serve, reload,
+# calibrate): it never panics, every failure is a *PersistError, and an
+# accepted file saves, reloads and saves again to the same bytes. Both
+# committed predictors seed it; the corrupt seeds under
+# internal/ceer/testdata/fuzz also run in the plain test step.
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/ceer >/dev/null
 
 echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
@@ -145,7 +153,9 @@ echo "== serving-path bench regression gate"
 # A moderate-depth bench run written to a scratch file and gated on the
 # median of 6 repetitions against the committed BENCH_predict.json:
 # >20% ns/op or any allocs/op regression fails (see scripts/bench.sh).
-BENCH_COUNT=6 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >/dev/null
+# bench.sh's stdout, which holds the per-bench verdicts, goes to stderr
+# with the raw bench lines, so a failing gate names its benchmark.
+BENCH_COUNT=6 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >&2
 
 echo "== serve daemon bench regression gate"
 # The daemon's hot-path benches gated against the committed
@@ -156,7 +166,7 @@ echo "== serve daemon bench regression gate"
 BENCH_COUNT=6 BENCH_TIME=500x BENCH_PKG=./internal/serve \
     BENCH_REGEX='ServePredict$|ServeRecommend$|ServeEncodePredict$' \
     BENCH_BASELINE=BENCH_serve.json BENCH_OUT="$(mktemp)" \
-    ./scripts/bench.sh >/dev/null
+    ./scripts/bench.sh >&2
 
 echo "== serve daemon smoke"
 # Boots `ceer serve` on an ephemeral port, hits all five endpoints,
