@@ -23,7 +23,7 @@ import (
 // and SIGHUP / POST /admin/reload model hot-swap.
 func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	modelsPath := fs.String("models", "", "trained models file; enables hot reload (SIGHUP or POST /admin/reload)")
+	modelsPath := fs.String("models", "", "trained models file; enables hot reload (SIGHUP or POST /admin/reload) unless calibration is on")
 	addr := fs.String("addr", "127.0.0.1:7077", "listen address (port 0 picks an ephemeral port)")
 	batch := fs.Int64("batch", 32, "per-GPU batch size the serving tables are compiled at")
 	maxK := fs.Int("maxk", 4, "max GPUs per family in candidate sweeps")

@@ -74,8 +74,8 @@ var errCalibClosed = errors.New("serve: calibration closed by drain")
 //
 // Refits do not publish directly to the serving generation: the
 // calibrator is bound to a private staging box, and each newly staged
-// table goes through the same golden probe as a file reload before
-// Install. A poisoned observation stream that drags a refit beyond
+// table goes through the same golden probe as a file reload before it
+// is installed. A poisoned observation stream that drags a refit beyond
 // tolerance is rejected — the daemon keeps serving the last good
 // generation while the calibrator keeps accumulating (the journal
 // preserves everything for offline triage).
@@ -153,11 +153,11 @@ func (s *Server) JournalReplayed() (obs, tornLine int) {
 }
 
 // settleCalibration runs after every batch of observations: a POST
-// body, the boot journal replay, or one tail poll. It publishes the
-// newest staged table if it passes the golden probe against the serving
-// tables, and sets drifted_cells from rep, the calibrator's report at
-// the end of the batch. A rejected table keeps the old generation
-// serving and counts calib_swap_rejected; it is not probed again.
+// body, the boot journal replay, or one tail poll. It installs the
+// newest staged table if its render passes the golden probe against
+// the serving generation, and sets drifted_cells from rep, the batch's
+// final calibrator report. A rejected table keeps the old generation
+// serving, counts calib_swap_rejected and is not probed again.
 func (s *Server) settleCalibration(rep ceer.CalibrationReport) {
 	drifted := int64(0)
 	for i := range rep.Cells {
@@ -173,7 +173,7 @@ func (s *Server) settleCalibration(rep ceer.CalibrationReport) {
 		return
 	}
 	s.calib.lastStaged = cur
-	if err := s.probe(cur); err != nil {
+	if _, err := s.install(cur, s.cur.Load()); err != nil {
 		s.met.srv.calibSwapsRejected.Add(1)
 		cause := ReloadCauseProbe
 		s.lastReloadCause.Store(&cause)
@@ -181,7 +181,6 @@ func (s *Server) settleCalibration(rep ceer.CalibrationReport) {
 		return
 	}
 	s.met.srv.calibSwaps.Add(1)
-	s.install(cur)
 }
 
 // handleObserve is POST /v1/observe: a JSONL body of observations,

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -519,6 +520,111 @@ func TestReloadValidationCauses(t *testing.T) {
 	}
 	if got := s.met.srv.reloads.Load(); got != 1 {
 		t.Errorf("reloads = %d, want 1", got)
+	}
+}
+
+// TestReloadProbeBranches drives the golden probe's other branches
+// through Reload: an incoming cell the tables cannot score and a
+// non-finite prediction are rejected, and a cell the serving
+// generation could not score is skipped.
+func TestReloadProbeBranches(t *testing.T) {
+	var saved bytes.Buffer
+	if err := testSystem(t).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(saved.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc["degraded"] != nil {
+		t.Fatal("the test system has degraded devices; dropping a comm model would not fail its cells")
+	}
+	// Dropping the file's first comm model leaves its (device, k)
+	// without a comm term on a device that is not degraded.
+	first := doc["comm_models"].([]any)[0].(map[string]any)
+	gpu, k := first["gpu"].(string), int(first["k"].(float64))
+	dropComm := func(doc map[string]any) { doc["comm_models"] = doc["comm_models"].([]any)[1:] }
+	// The probe visits zoo models in serving order and, for each, the
+	// full candidate set in order, so the first model's first candidate
+	// on (gpu, k) is the first cell to fail.
+	order := newTestServer(t, Options{})
+	ci := slices.IndexFunc(order.candsByK[order.maxK], func(cfg ceer.InstanceConfig) bool {
+		return string(cfg.GPU) == gpu && cfg.K == k
+	})
+	if ci < 0 {
+		t.Fatalf("no candidate runs %s on %d GPUs", gpu, k)
+	}
+	firstCell := "probe " + order.models[0].name + "/" + order.metaByK[order.maxK][ci].config + ": "
+
+	cases := []struct {
+		name       string
+		boot, next func(map[string]any) // nil writes the test system unchanged
+		want       string               // in the rejection; "" = accepted
+	}{
+		{"incoming cell unscorable", nil, dropComm, firstCell},
+		{"non-finite prediction", nil, func(doc map[string]any) { doc["light_median"] = 1e308 },
+			"non-finite or non-positive prediction"},
+		{"serving cell unscorable", dropComm, nil, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "models.json")
+			writePredictorJSON(t, path, c.boot)
+			sys, err := ceer.LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(sys, Options{ModelPath: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writePredictorJSON(t, path, c.next)
+			gen, err := s.Reload()
+			if c.want == "" {
+				if err != nil || gen != 1 {
+					t.Fatalf("Reload: generation %d, %v; want generation 1 accepted", gen, err)
+				}
+				return
+			}
+			var re *ReloadError
+			if !errors.As(err, &re) || re.Cause != ReloadCauseProbe {
+				t.Fatalf("Reload error = %v, want a *ReloadError with cause %q", err, ReloadCauseProbe)
+			}
+			if !strings.Contains(re.Err.Error(), c.want) {
+				t.Fatalf("rejection %q does not contain %q", re.Err, c.want)
+			}
+			if got := s.Generation(); got != 0 {
+				t.Fatalf("generation moved to %d on a rejected reload", got)
+			}
+		})
+	}
+}
+
+// TestReloadRefusedWhileCalibrating: with calibration on, the
+// calibrator owns the serving model, and its next swap would replace a
+// reloaded file. So a reload is refused before the file is read (409
+// over HTTP), and the generation and the served bytes stay unchanged.
+func TestReloadRefusedWhileCalibrating(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "models.json")
+	writePredictorJSON(t, path, func(doc map[string]any) {
+		doc["light_median"] = doc["light_median"].(float64) * 1.2
+	})
+	s := newTestServer(t, Options{ModelPath: path, Calibration: &CalibrationOptions{}})
+	_, before := s.DoLocal(http.MethodGet, "/v1/predict", "model=resnet-50")
+	status, body := s.DoLocal(http.MethodPost, "/admin/reload", "")
+	if status != http.StatusConflict || !strings.Contains(string(body), "calibration owns the serving model") {
+		t.Fatalf("POST /admin/reload while calibrating: status %d, body %s (want 409 naming calibration)", status, body)
+	}
+	_, err := s.Reload()
+	var re *ReloadError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("Reload while calibrating = %v, want a plain refusal", err)
+	}
+	if got := s.Generation(); got != 0 {
+		t.Fatalf("generation moved to %d through a refused reload", got)
+	}
+	if _, after := s.DoLocal(http.MethodGet, "/v1/predict", "model=resnet-50"); !bytes.Equal(after, before) {
+		t.Fatalf("served bytes changed through a refused reload:\n%s\nwant\n%s", after, before)
 	}
 }
 

@@ -93,7 +93,8 @@ func (s *Server) generationFor(q *query, me *modelEntry) (*generation, int, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	return s.newGeneration(comp, gen.num, []*ceer.Graph{g}), 0, nil
+	one, err := s.newGeneration(comp, gen.num, []*ceer.Graph{g}, nil)
+	return one, 0, err
 }
 
 // renderPredict fills sc.buf with the /v1/predict document for the

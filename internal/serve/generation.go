@@ -31,22 +31,30 @@ type fragment struct {
 	unseen []byte
 	// degraded is `,"degraded":"…"`, empty on a cleanly covered device.
 	degraded []byte
+	// total is total_s, or noTotal where the cell failed: probe baseline.
+	total float64
 }
 
-// newGeneration renders generation num of comp over graphs. Each
-// fragment comes from the PredictCandidate call a request makes, so a
-// degraded device without a comm model gets its NoComm bytes. A pair
-// that call rejects keeps an empty fragment: on-demand prices exist
-// for every candidate, so every request for that pair meets the same
-// error before encoding.
-func (s *Server) newGeneration(comp *ceer.CompiledSystem, num uint64, graphs []*ceer.Graph) *generation {
+// newGeneration renders generation num of comp over graphs, predicting
+// each cell once as a request does (PredictCandidate), so a degraded
+// device without a comm model gets its NoComm bytes. A cell that call
+// rejects keeps an empty fragment and noTotal: on-demand prices exist
+// for every candidate, so its requests all meet that error first. A
+// base (the serving generation) makes the pass a swap's golden probe.
+func (s *Server) newGeneration(comp *ceer.CompiledSystem, num uint64, graphs []*ceer.Graph, base *generation) (*generation, error) {
 	cands := s.candsByK[s.maxK]
 	gen := &generation{comp: comp, num: num, graphs: graphs, frags: make([][]fragment, len(graphs))}
 	for slot, g := range graphs {
 		gen.frags[slot] = make([]fragment, len(cands))
 		for ci, cfg := range cands {
 			cand, err := comp.PredictCandidate(g, cfg, ceer.ImageNet, ceer.OnDemand)
+			if base != nil {
+				if perr := s.probeCell(slot, ci, cand, err, base.frags[slot][ci].total); perr != nil {
+					return nil, perr
+				}
+			}
 			if err != nil {
+				gen.frags[slot][ci].total = noTotal
 				continue
 			}
 			it := &cand.Iter
@@ -71,10 +79,10 @@ func (s *Server) newGeneration(comp *ceer.CompiledSystem, num uint64, graphs []*
 			if cand.Degraded != "" {
 				b = appendJSONString(append(b, `,"degraded":`...), cand.Degraded)
 			}
-			gen.frags[slot][ci] = fragment{iter: b[:iterEnd:iterEnd], unseen: b[iterEnd:unseenEnd:unseenEnd], degraded: b[unseenEnd:]}
+			gen.frags[slot][ci] = fragment{iter: b[:iterEnd:iterEnd], unseen: b[iterEnd:unseenEnd:unseenEnd], degraded: b[unseenEnd:], total: cand.TotalSeconds}
 		}
 	}
-	return gen
+	return gen, nil
 }
 
 // pricingIndex maps a request's pricing scheme to its candMeta.head.

@@ -169,32 +169,41 @@ func (q *query) reset(s *Server) *query {
 }
 
 // parse scans a raw query string ("a=b&c=d") by substring — no
-// url.Values, no allocation for unescaped values (the common case). It
-// returns "" on success or a short diagnostic.
+// url.Values, no allocation for unescaped pairs (the common case) — and
+// reads it as url.ParseQuery and Values.Get would: a pair holding ';'
+// is rejected, keys unescape like values, and pairs are read right to
+// left, so a repeated key keeps its first value (every value must still
+// be valid, and the rightmost bad one is reported). It returns "" on
+// success or a short diagnostic.
 //
 //hot:path
 func (q *query) parse(raw string, maxK int) string {
 	for len(raw) > 0 {
 		pair := raw
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
+		if i := strings.LastIndex(raw, "&"); i >= 0 {
+			raw, pair = raw[:i], raw[i+1:]
 		} else {
 			raw = ""
 		}
 		if pair == "" {
 			continue
 		}
+		if strings.IndexByte(pair, ';') >= 0 {
+			return "invalid semicolon separator in query"
+		}
 		key, val := pair, ""
 		if i := strings.IndexByte(pair, '='); i >= 0 {
 			key, val = pair[:i], pair[i+1:]
 		}
-		if strings.IndexByte(val, '%') >= 0 || strings.IndexByte(val, '+') >= 0 {
-			//lint:ignore allocfree rare branch: only percent- or plus-escaped values unescape, and model/gpu names never contain either
-			u, err := url.QueryUnescape(val) // rare: escaped value (allocates)
-			if err != nil {
+		if strings.IndexByte(pair, '%') >= 0 || strings.IndexByte(pair, '+') >= 0 {
+			//lint:ignore allocfree rare branch: only percent- or plus-escaped pairs unescape, and parameter and model/gpu names contain neither
+			k, kerr := url.QueryUnescape(key) // rare: escaped pair (allocates)
+			//lint:ignore allocfree the same rare branch, for the value
+			v, verr := url.QueryUnescape(val)
+			if kerr != nil || verr != nil {
 				return "malformed query escape"
 			}
-			val = u
+			key, val = k, v
 		}
 		var err error
 		switch key {

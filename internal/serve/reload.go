@@ -25,8 +25,9 @@ const (
 	// ReloadCauseCompile: the loaded predictor would not compile into
 	// serving tables.
 	ReloadCauseCompile = "compile"
-	// ReloadCauseProbe: the golden prediction set diverged beyond
-	// Options.ReloadTolerance from the outgoing tables.
+	// ReloadCauseProbe: a golden prediction failed, was non-finite or
+	// non-positive, or diverged beyond Options.ReloadTolerance from the
+	// serving generation's.
 	ReloadCauseProbe = "probe"
 )
 
@@ -65,55 +66,46 @@ func (s *Server) reject(cause string, err error) (uint64, error) {
 	return 0, &ReloadError{Cause: cause, Err: err}
 }
 
-// probe validates incoming tables against the outgoing ones over the
-// golden prediction set: every zoo model × every candidate
-// configuration at the serving batch, each predicted as a full sweep
-// answers it (PredictCandidate, so a degraded device without a comm
-// model is probed without the comm term). Each incoming prediction
-// must be finite, positive, and within Options.ReloadTolerance
-// (relative) of the outgoing table's value — a corrupt or
-// stale-but-plausible model file cannot silently replace a good
-// generation. Callers hold reloadMu.
-func (s *Server) probe(next *ceer.CompiledSystem) error {
-	old := s.cur.Load().comp
-	cands := s.candsByK[s.maxK]
-	metas := s.metaByK[s.maxK]
-	ds := ceer.ImageNet
-	for mi := range s.models {
-		me := &s.models[mi]
-		for ci := range cands {
-			np, err := next.PredictCandidate(me.g, cands[ci], ds, ceer.OnDemand)
-			if err != nil {
-				return fmt.Errorf("probe %s/%s: %w", me.name, metas[ci].config, err)
-			}
-			if !(np.TotalSeconds > 0) || math.IsInf(np.TotalSeconds, 0) ||
-				!(np.CostUSD > 0) || math.IsInf(np.CostUSD, 0) {
-				return fmt.Errorf("probe %s/%s: non-finite or non-positive prediction (total_s=%v cost_usd=%v)",
-					me.name, metas[ci].config, np.TotalSeconds, np.CostUSD)
-			}
-			op, err := old.PredictCandidate(me.g, cands[ci], ds, ceer.OnDemand)
-			if err != nil {
-				// The outgoing tables cannot score this cell; nothing
-				// to compare against.
-				continue
-			}
-			if rel := math.Abs(np.TotalSeconds-op.TotalSeconds) / op.TotalSeconds; rel > s.tol {
-				return fmt.Errorf("probe %s/%s: total_s diverges %.1f%% (have %v, incoming %v, tolerance %.0f%%)",
-					me.name, metas[ci].config, rel*100, op.TotalSeconds, np.TotalSeconds, s.tol*100)
-			}
-		}
+// noTotal is a fragment's total where its cell could not be predicted.
+var noTotal = math.NaN()
+
+// probeCell is the golden probe of one swap cell, zoo model slot on
+// candidate ci: the incoming prediction cand (or err) must be finite,
+// positive and within Options.ReloadTolerance (relative) of have, the
+// serving generation's total_s (skipped where it is noTotal), so a
+// corrupt or stale-but-plausible model file cannot silently replace a
+// good generation.
+func (s *Server) probeCell(slot, ci int, cand ceer.Candidate, err error, have float64) error {
+	name, config := s.models[slot].name, s.metaByK[s.maxK][ci].config
+	if err != nil {
+		return fmt.Errorf("probe %s/%s: %w", name, config, err)
+	}
+	if !(cand.TotalSeconds > 0) || math.IsInf(cand.TotalSeconds, 0) ||
+		!(cand.CostUSD > 0) || math.IsInf(cand.CostUSD, 0) {
+		return fmt.Errorf("probe %s/%s: non-finite or non-positive prediction (total_s=%v cost_usd=%v)",
+			name, config, cand.TotalSeconds, cand.CostUSD)
+	}
+	if rel := math.Abs(cand.TotalSeconds-have) / have; !math.IsNaN(have) && rel > s.tol {
+		return fmt.Errorf("probe %s/%s: total_s diverges %.1f%% (have %v, incoming %v, tolerance %.0f%%)",
+			name, config, rel*100, have, cand.TotalSeconds, s.tol*100)
 	}
 	return nil
 }
 
 // Reload re-reads Options.ModelPath and swaps the serving tables —
 // after validation. A mid-write file is retried with backoff; version
-// and registry mismatches, compile failures, and golden-probe
-// divergence reject the swap, keep the old generation serving,
-// increment reload_rejected, and return a *ReloadError carrying the
-// typed cause. Concurrent Reloads serialize; requests are never
+// and registry mismatches, compile failures, and a failed golden probe
+// reject the swap, keep the old generation serving, increment
+// reload_rejected, and return a *ReloadError carrying the typed cause.
+// While calibration is on, Reload refuses before it reads the file: the
+// calibrator owns the serving model, and its next swap would replace a
+// reloaded one. Concurrent Reloads serialize; requests are never
 // blocked. Returns the new generation on an accepted swap.
 func (s *Server) Reload() (uint64, error) {
+	if s.calib != nil {
+		return 0, errors.New("serve: reload refused: calibration owns the serving model; " +
+			"restart with the new -models and a fresh -observe-journal to change it")
+	}
 	if s.opts.ModelPath == "" {
 		return 0, errors.New("serve: no model path configured (start with -models to enable reload)")
 	}
@@ -142,10 +134,11 @@ func (s *Server) Reload() (uint64, error) {
 	if err != nil {
 		return s.reject(ReloadCauseCompile, err)
 	}
-	if err := s.probe(comp); err != nil {
+	gen, err := s.install(comp, s.cur.Load())
+	if err != nil {
 		return s.reject(ReloadCauseProbe, err)
 	}
 	s.met.srv.reloads.Add(1)
 	s.lastReloadCause.Store(nil)
-	return s.install(comp), nil
+	return gen, nil
 }

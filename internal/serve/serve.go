@@ -12,7 +12,7 @@
 // lock-free token bucket plus a queue-depth cap, both driven by an
 // injectable Clock so shedding behaviour is deterministic under test.
 // Model hot-swap (SIGHUP, /admin/reload, or an accepted calibration
-// refit, each through Install after the golden probe) publishes a new
+// refit, each rendered and golden-probed in one pass) publishes a new
 // generation with one atomic store; in-flight requests finish on the
 // generation they loaded at entry.
 package serve
@@ -46,7 +46,8 @@ type Options struct {
 	// sweep).
 	MaxK int
 	// ModelPath, when non-empty, is the persist-v3 model file Reload
-	// (and SIGHUP / POST /admin/reload) re-reads for hot-swap.
+	// (and SIGHUP / POST /admin/reload) re-reads for hot-swap, unless
+	// Calibration is on.
 	ModelPath string
 	// RatePerSec caps sustained admitted request rate over the /v1/*
 	// endpoints via a token bucket (0 = unlimited).
@@ -73,10 +74,10 @@ type Options struct {
 	Calibration *CalibrationOptions
 
 	// ReloadTolerance bounds the golden-probe divergence a reload (or
-	// calibration refit) may introduce: every probe prediction of the
-	// incoming tables must be finite, positive, and within this
-	// relative fraction of the outgoing tables' value (0 = 0.5). Swaps
-	// outside tolerance are rejected; the old generation keeps serving.
+	// calibration refit) may introduce: every probe prediction must be
+	// finite, positive, and within this relative fraction of the serving
+	// generation's value (0 = 0.5). Swaps outside tolerance are rejected;
+	// the old generation keeps serving.
 	ReloadTolerance float64
 
 	// PanicThreshold trips the breaker into the degraded state after
@@ -89,14 +90,13 @@ type Options struct {
 	RecoveryWindow time.Duration
 }
 
-// modelEntry pairs a zoo model with its cached graph. Entries live in a
-// slice scanned linearly — 12 string compares beat a map lookup at this
-// size and keep the resolver legal under the hot-path proof.
+// modelEntry names a zoo model. Entries live in a slice scanned
+// linearly — 12 string compares beat a map lookup at this size and keep
+// the resolver legal under the hot-path proof.
 type modelEntry struct {
 	name string
-	g    *ceer.Graph
 	// slot is the entry's index in Server.models, which is its graph's
-	// slot in a zoo generation.
+	// index in Server.graphs and its slot in a zoo generation.
 	slot int
 }
 
@@ -131,9 +131,8 @@ type Server struct {
 
 	// cur is the serving generation: the compiled tables, their number
 	// and their pre-rendered response bytes, published together by New
-	// and Install (Reload, SIGHUP and accepted calibration refits all
-	// go through Install after the golden probe). Every answer, at any
-	// batch size, comes from the generation a request loaded once.
+	// and install. Every answer, at any batch size, comes from the
+	// generation a request loaded once.
 	cur atomic.Pointer[generation]
 
 	models []modelEntry
@@ -210,7 +209,7 @@ func New(sys *ceer.System, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: building %s: %w", name, err)
 		}
-		s.models = append(s.models, modelEntry{name: name, g: g, slot: i})
+		s.models = append(s.models, modelEntry{name: name, slot: i})
 		s.graphs = append(s.graphs, g)
 	}
 
@@ -226,7 +225,8 @@ func New(sys *ceer.System, opts Options) (*Server, error) {
 		s.candsByK[k] = cands
 		s.metaByK[k] = metas
 	}
-	s.cur.Store(s.newGeneration(comp, 0, s.graphs))
+	gen, _ := s.newGeneration(comp, 0, s.graphs, nil) // unprobed, it cannot fail
+	s.cur.Store(gen)
 
 	s.arena = newArena()
 	if opts.RatePerSec > 0 {
@@ -281,23 +281,28 @@ func (s *Server) Generation() uint64 { return s.cur.Load().num }
 func (s *Server) Tables() *ceer.CompiledSystem { return s.cur.Load().comp }
 
 // Install publishes pre-compiled tables as the next generation
-// (programmatic hot-swap; Reload is the file-based form). It renders
-// the generation's response bytes, numbers it one past the serving
-// generation and publishes tables, number and bytes with one atomic
-// store, so no request or /healthz pairs one generation's tables with
-// another's bytes or number. Concurrent Installs serialize. In-flight
-// requests finish on the generation they already loaded.
+// (programmatic hot-swap, unprobed; Reload is the file-based form). It
+// renders the generation's response bytes, numbers it one past the
+// serving generation and publishes tables, number and bytes with one
+// atomic store, so no request or /healthz pairs one generation's tables
+// with another's bytes or number. Concurrent Installs serialize.
+// In-flight requests finish on the generation they already loaded.
 func (s *Server) Install(comp *ceer.CompiledSystem) uint64 {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	return s.install(comp)
+	gen, _ := s.install(comp, nil) // unprobed, it cannot fail
+	return gen
 }
 
-// install is Install for callers holding reloadMu.
-func (s *Server) install(comp *ceer.CompiledSystem) uint64 {
-	next := s.newGeneration(comp, s.cur.Load().num+1, s.graphs)
+// install publishes comp as the next generation unless it fails the
+// golden probe against base (newGeneration). Callers hold reloadMu.
+func (s *Server) install(comp *ceer.CompiledSystem, base *generation) (uint64, error) {
+	next, err := s.newGeneration(comp, s.cur.Load().num+1, s.graphs, base)
+	if err != nil {
+		return 0, err
+	}
 	s.cur.Store(next)
-	return next.num
+	return next.num, nil
 }
 
 // Serve accepts connections on ln until Shutdown. It returns

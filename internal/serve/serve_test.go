@@ -256,6 +256,11 @@ func TestQueryErrors(t *testing.T) {
 		{"/v1/predict", "model=alexnet&samples=-3", http.StatusBadRequest},
 		{"/v1/predict", "model=alexnet&maxk=99", http.StatusBadRequest},
 		{"/v1/predict", "model=alexnet&bogus=1", http.StatusBadRequest}, // unknown parameter
+		// The query reads as net/url reads it: escaped keys unescape, a
+		// repeated key keeps its first value, and ';' is no separator.
+		{"/v1/predict", "mod%65l=alexnet", http.StatusOK},
+		{"/v1/predict", "model=alexnet&model=not-a-model", http.StatusOK},
+		{"/v1/predict", "model=alexnet;config=2xP3", http.StatusBadRequest},
 		{"/v1/recommend", "model=alexnet&objective=speed", http.StatusBadRequest},
 		{"/v1/recommend", "model=alexnet&max_hourly_usd=abc", http.StatusBadRequest},
 		{"/v1/explain", "model=alexnet", http.StatusBadRequest},        // missing gpu

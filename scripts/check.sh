@@ -3,7 +3,8 @@
 # vet, build, the full test suite, vet and tests of the perfbench
 # module, a race-detector pass over the whole module, short fuzz runs
 # of the JSON encoder, the JSONL journal codec, the observation decoder,
-# the fault-spec parser and the predictor loader, the ceer-lint
+# the fault-spec parser, the predictor loader and the query parser (each
+# with its minimization bounded, see below), the ceer-lint
 # static-analysis suite, the escape-analysis cross-check, the
 # calibration golden gate, the chaos determinism gate, the experiments
 # determinism gate, and a bench smoke run.
@@ -37,13 +38,19 @@ go -C perfbench test ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# Every fuzz step bounds minimization: by default Go spends up to 60 s
+# minimizing each new interesting input, which on a fresh fuzz cache
+# (a new runner) swallows the whole 10 s and leaves it executing
+# nothing. 100 executions per input keep the step exploring.
+fuzzmin=(-fuzzminimizetime 100x)
+
 echo "== fuzz: append JSON encoder vs encoding/json"
 # Differential fuzzing of the daemon's float and string encoders
 # against encoding/json (internal/serve/jsonenc_test.go), a fixed short
 # time per target. The committed seed corpora under
 # internal/serve/testdata/fuzz also run in the plain test step.
 for target in FuzzAppendJSONFloat FuzzAppendJSONString; do
-    go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s ./internal/serve >/dev/null
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s "${fuzzmin[@]}" ./internal/serve >/dev/null
 done
 
 echo "== fuzz: JSONL journal codec replay"
@@ -53,7 +60,7 @@ echo "== fuzz: JSONL journal codec replay"
 # an append then reopen reads that prefix plus the record. The seed
 # corpus under internal/jsonl/testdata/fuzz is the shared corruption
 # table.
-go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/jsonl >/dev/null
+go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s "${fuzzmin[@]}" ./internal/jsonl >/dev/null
 
 echo "== fuzz: observation decoder vs encoding/json"
 # Differential fuzzing of trace.DecodeObs, whose canonical scan must
@@ -61,14 +68,14 @@ echo "== fuzz: observation decoder vs encoding/json"
 # text, or the same value with every float compared by bits. The seed
 # corpus under internal/trace/testdata/fuzz also runs in the plain test
 # step.
-go test -run '^$' -fuzz '^FuzzDecodeObs$' -fuzztime 10s ./internal/trace >/dev/null
+go test -run '^$' -fuzz '^FuzzDecodeObs$' -fuzztime 10s "${fuzzmin[@]}" ./internal/trace >/dev/null
 
 echo "== fuzz: fault-spec parser"
 # faults.ParseSpec, the parser behind -fault-spec: it never panics, and
 # any input it accepts is one valid JSON value whose spec validates,
 # builds an injector and re-encodes to a fixed point. The seed corpus
 # under internal/faults/testdata/fuzz also runs in the plain test step.
-go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults >/dev/null
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s "${fuzzmin[@]}" ./internal/faults >/dev/null
 
 echo "== fuzz: predictor loader"
 # ceer.Load, the reader of every model file (ceer serve, reload,
@@ -76,7 +83,15 @@ echo "== fuzz: predictor loader"
 # accepted file saves, reloads and saves again to the same bytes. Both
 # committed predictors seed it; the corrupt seeds under
 # internal/ceer/testdata/fuzz also run in the plain test step.
-go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/ceer >/dev/null
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s "${fuzzmin[@]}" ./internal/ceer >/dev/null
+
+echo "== fuzz: query parser vs net/url"
+# (*query).parse, the daemon's allocation-free query scanner: it never
+# panics, on a query url.ParseQuery accepts it rejects any key outside
+# its set, and when it accepts, so does url.ParseQuery and every field
+# equals Values.Get of its key (floats by bits). The seed corpus under
+# internal/serve/testdata/fuzz also runs in the plain test step.
+go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 10s "${fuzzmin[@]}" ./internal/serve >/dev/null
 
 echo "== ceer-lint"
 # The AST/type-aware invariant suite (internal/lint): device
