@@ -22,6 +22,7 @@ import (
 	"ceer/internal/dataset"
 	"ceer/internal/faults"
 	"ceer/internal/gpu"
+	"ceer/internal/jsonl"
 	"ceer/internal/trace"
 	"ceer/internal/trace/corrupt"
 	"ceer/internal/zoo"
@@ -392,20 +393,50 @@ func TestCheckpointSkipsCompletedCells(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsConfigMismatch: resuming under different
-// campaign parameters would splice incompatible measurements, so the
-// journal is rejected.
+// TestCheckpointRejectsConfigMismatch: a journal written by a
+// different campaign configuration, or by an earlier journal version
+// whose comm records were measured differently, is refused before any
+// cell is measured, so the refused run appends nothing to it.
 func TestCheckpointRejectsConfigMismatch(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	dir := t.TempDir()
 	pl := chaosPolicy(11, 0)
-	pl.CheckpointPath = ckpt
+	pl.CheckpointPath = filepath.Join(dir, "campaign.ckpt")
 	if _, err := pl.Campaign(context.Background(), zoo.Build, campaignNames[:1]); err != nil {
 		t.Fatal(err)
 	}
-	other := pl
-	other.Seed = 12
-	if _, err := other.Campaign(context.Background(), zoo.Build, campaignNames[:1]); err == nil {
-		t.Error("a checkpoint from a different seed must be rejected")
+	otherSeed := pl
+	otherSeed.Seed = 12
+
+	// A version 1 journal: this campaign's header at the old version.
+	v1 := pl
+	v1.CheckpointPath = filepath.Join(dir, "v1.ckpt")
+	h := pl.checkpointHeader()
+	h.Version = 1
+	var buf bytes.Buffer
+	if err := jsonl.NewWriter(&buf).Append(checkpointRecord{Type: "header", Header: &h}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v1.CheckpointPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		pl   Pipeline
+	}{
+		{"a checkpoint from a different seed", otherSeed},
+		{"a version 1 checkpoint", v1},
+	} {
+		before, err := os.ReadFile(tc.pl.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := tc.pl.Campaign(context.Background(), zoo.Build, campaignNames[:1]); err == nil || res != nil {
+			t.Errorf("%s must be rejected, got %v", tc.name, err)
+		}
+		if after, err := os.ReadFile(tc.pl.CheckpointPath); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: the refused run changed the journal (err %v)", tc.name, err)
+		}
 	}
 }
 

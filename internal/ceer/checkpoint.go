@@ -20,8 +20,10 @@ import (
 	"ceer/internal/trace"
 )
 
-// checkpointVersion guards the journal format.
-const checkpointVersion = 1
+// checkpointVersion guards the journal format. Version 2 journals comm
+// overheads drawn by sim.CommOverhead; a version 1 journal's differ by
+// rounding, so it is refused rather than spliced into a resumed run.
+const checkpointVersion = 2
 
 // checkpointHeader pins the campaign parameters a journal belongs to.
 // Resuming under different parameters would splice incompatible

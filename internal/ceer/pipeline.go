@@ -3,12 +3,10 @@ package ceer
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ceer/internal/cloud"
-	"ceer/internal/dataset"
 	"ceer/internal/faults"
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
@@ -146,21 +144,20 @@ type CampaignResult struct {
 }
 
 // CollectCommObs measures the per-iteration communication overhead of
-// each CNN on each (GPU, k) configuration: the measured iteration time
-// minus the summed op compute time, as derived from training logs
-// (Section IV-C). The (CNN, GPU, k) measurements are independent and
-// fan out over Workers goroutines; the observation order (names-major,
-// then GPU, then k) matches the serial run exactly. This path is
-// fault-free; Campaign is the resilient entry point.
+// each CNN on each (GPU, k) configuration (Section IV-C): the comm term
+// of a sim.Train run of the cell, drawn alone by sim.CommOverhead. The
+// (CNN, GPU, k) measurements are independent and fan out over Workers
+// goroutines; the observation order (names-major, then GPU, then k)
+// matches the serial run exactly. This path is fault-free; Campaign is
+// the resilient entry point.
 func (pl Pipeline) CollectCommObs(ctx context.Context, build Build, names []string) ([]CommObs, error) {
 	graphs, err := pl.buildGraphs(ctx, build, names)
 	if err != nil {
 		return nil, err
 	}
 	cells := pl.commCells(names, graphs)
-	ds := dataset.ImageNetSubset6400
 	return par.Map(ctx, pl.Workers, len(cells), func(ctx context.Context, i int) (CommObs, error) {
-		return pl.measureComm(ctx, cells[i], ds)
+		return pl.measureComm(ctx, cells[i])
 	})
 }
 
@@ -188,38 +185,12 @@ func (c profCell) op(attempt int) faults.Op {
 	return faults.Op{Stage: "profile", CNN: c.name, Device: string(c.m), Attempt: attempt}
 }
 
-// commCell is one communication-measurement cell. The cells of one
-// (CNN, device) share their compute draw: it does not depend on k.
+// commCell is one communication-measurement cell.
 type commCell struct {
-	name    string
-	g       *graph.Graph
-	m       gpu.ID
-	k       int
-	compute *sharedCompute
-}
-
-// sharedCompute is the compute mean of one (CNN, device) pair's comm
-// cells, drawn by the first cell that needs it and reused at every
-// other k. A draw that fails (a cancelled context) is not kept, so a
-// later attempt draws again. Its callers all pass the same graph,
-// device, iteration count and seed.
-type sharedCompute struct {
-	mu   sync.Mutex
-	done bool
-	mean float64
-}
-
-func (s *sharedCompute) draw(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int, seed uint64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.done {
-		mean, err := sim.MeanCompute(ctx, g, m, measureIters, seed)
-		if err != nil {
-			return 0, err
-		}
-		s.mean, s.done = mean, true
-	}
-	return s.mean, nil
+	name string
+	g    *graph.Graph
+	m    gpu.ID
+	k    int
 }
 
 func (c commCell) op(attempt int) faults.Op {
@@ -240,9 +211,8 @@ func (pl Pipeline) commCells(names []string, graphs []*graph.Graph) []commCell {
 	var cells []commCell
 	for i, name := range names {
 		for _, m := range pl.devices() {
-			compute := &sharedCompute{}
 			for k := 1; k <= pl.MaxK; k++ {
-				cells = append(cells, commCell{name, graphs[i], m, k, compute})
+				cells = append(cells, commCell{name, graphs[i], m, k})
 			}
 		}
 	}
@@ -250,8 +220,8 @@ func (pl Pipeline) commCells(names []string, graphs []*graph.Graph) []commCell {
 }
 
 // measureComm runs one communication cell.
-func (pl Pipeline) measureComm(ctx context.Context, c commCell, ds dataset.Dataset) (CommObs, error) {
-	meas, err := sim.TrainWith(ctx, c.g, cloud.Config{GPU: c.m, K: c.k}, ds, pl.CommIterations, pl.Seed+7, c.compute.draw)
+func (pl Pipeline) measureComm(ctx context.Context, c commCell) (CommObs, error) {
+	overhead, err := sim.CommOverhead(ctx, c.g, cloud.Config{GPU: c.m, K: c.k}, pl.CommIterations, pl.Seed+7)
 	if err != nil {
 		return CommObs{}, err
 	}
@@ -260,7 +230,7 @@ func (pl Pipeline) measureComm(ctx context.Context, c commCell, ds dataset.Datas
 		GPU:      c.m,
 		K:        c.k,
 		Params:   c.g.Params,
-		Overhead: meas.PerIterSeconds - meas.ComputeSeconds,
+		Overhead: overhead,
 	}, nil
 }
 
@@ -388,12 +358,11 @@ func (pl Pipeline) Campaign(ctx context.Context, build Build, names []string) (r
 
 	// Stage 2: communication observations, one cell per (CNN, device, k).
 	cCells := pl.commCells(names, graphs)
-	ds := dataset.ImageNetSubset6400
 	obs, commErrs, abortErr := runCells(ctx, pl, st, len(cCells),
 		func(i, attempt int) faults.Op { return cCells[i].op(attempt) },
 		func(key string) (CommObs, bool) { return st.cp.restoreComm(key) },
 		func(ctx context.Context, i int, op faults.Op) (CommObs, error) {
-			o, err := pl.measureComm(ctx, cCells[i], ds)
+			o, err := pl.measureComm(ctx, cCells[i])
 			if err != nil {
 				return CommObs{}, err
 			}

@@ -3,6 +3,7 @@ package ceer
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -140,16 +141,12 @@ func TestCollectCommObsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCommObsShareComputeExactly checks that sharing one compute draw
-// across a (CNN, device)'s GPU counts changes no observation: every
-// comm observation equals the one an unshared sim.Train of its cell
-// yields.
-func TestCommObsShareComputeExactly(t *testing.T) {
-	pl := testPipeline(3)
-	got, err := pl.CollectCommObs(context.Background(), zoo.Build, campaignNames)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCommObsAreTrainCommSeconds pins the comm stage to the ground
+// truth's comm term: at Workers 1 and 3, every observation of
+// CollectCommObs and of Campaign carries, bit for bit, the CommSeconds
+// of a sim.Train run of its cell.
+func TestCommObsAreTrainCommSeconds(t *testing.T) {
+	pl := testPipeline(1)
 	var want []CommObs
 	for _, name := range campaignNames {
 		g, err := zoo.Build(name, pl.Batch)
@@ -163,53 +160,38 @@ func TestCommObsShareComputeExactly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, CommObs{CNN: name, GPU: m, K: k, Params: g.Params,
-					Overhead: meas.PerIterSeconds - meas.ComputeSeconds})
+				want = append(want, CommObs{CNN: name, GPU: m, K: k, Params: g.Params, Overhead: meas.CommSeconds})
 			}
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("comm observations with a shared compute draw differ from unshared sim.Train")
-	}
-}
-
-// TestSharedComputeKeepsNoCancelledDraw checks the share's memo: a draw
-// under a cancelled context fails and is not kept, so later draws,
-// made at once from several goroutines as a parallel comm stage's
-// sibling cells make them, all get sim.MeanCompute's value, which is
-// then reused even under a cancelled context.
-func TestSharedComputeKeepsNoCancelledDraw(t *testing.T) {
-	g, err := zoo.Build("inception-v1", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	var s sharedCompute
-	if _, err := s.draw(cancelled, g, gpu.T4, 5, 3); err == nil {
-		t.Fatal("draw under a cancelled context succeeded")
-	}
-	want, err := sim.MeanCompute(context.Background(), g, gpu.T4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, 6)
-	errs := make([]error, len(got))
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = s.draw(context.Background(), g, gpu.T4, 5, 3)
-		}(i)
-	}
-	wg.Wait()
-	for i := range got {
-		if errs[i] != nil || !eqExact(got[i], want) {
-			t.Errorf("concurrent draw %d = %v, %v; want %v", i, got[i], errs[i], want)
+	same := func(got []CommObs) bool {
+		if len(got) != len(want) {
+			return false
 		}
+		for i, o := range got {
+			w := want[i]
+			if o.CNN != w.CNN || o.GPU != w.GPU || o.K != w.K || o.Params != w.Params ||
+				math.Float64bits(o.Overhead) != math.Float64bits(w.Overhead) {
+				return false
+			}
+		}
+		return true
 	}
-	if again, err := s.draw(cancelled, g, gpu.T4, 5, 3); err != nil || !eqExact(again, want) {
-		t.Errorf("kept draw = %v, %v; want %v", again, err, want)
+	for _, workers := range []int{1, 3} {
+		pl := testPipeline(workers)
+		collected, err := pl.CollectCommObs(context.Background(), zoo.Build, campaignNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(collected) {
+			t.Errorf("workers=%d: CollectCommObs differs from sim.Train's CommSeconds", workers)
+		}
+		res, err := pl.Campaign(context.Background(), zoo.Build, campaignNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(res.CommObs) {
+			t.Errorf("workers=%d: Campaign's comm observations differ from sim.Train's CommSeconds", workers)
+		}
 	}
 }

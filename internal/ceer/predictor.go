@@ -37,9 +37,11 @@ type CommModel struct {
 	Fit *regress.Model
 }
 
-// CommObs is one observed communication overhead: the measured
-// per-iteration training time minus the summed op compute time, for one
+// CommObs is one observed per-iteration communication overhead, for one
 // training-set CNN on one (GPU, k) configuration (Section IV-C). The
+// paper reads it from training logs as iteration time minus summed op
+// time; the campaign draws the simulated overhead itself
+// (sim.CommOverhead), which that subtraction gives up to rounding. The
 // JSON form is the campaign checkpoint's comm record.
 type CommObs struct {
 	CNN      string  `json:"cnn"`

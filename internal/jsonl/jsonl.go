@@ -4,7 +4,8 @@
 // contract:
 //
 //   - Lines are numbered from 1, and blank lines are skipped.
-//   - Every other line holds exactly one JSON value.
+//   - Every other line holds exactly one JSON value, with nothing
+//     around it but JSON whitespace (TrimSpace).
 //   - A torn tail is a final line with no newline that is not valid
 //     JSON. Every write hands whole lines to the file — Append one
 //     record, AppendLines a block of them — so whole lines and a torn
@@ -62,15 +63,15 @@ func scanLine(data []byte, atEOF bool) (int, []byte, error) {
 	return 0, nil, nil
 }
 
-// Next returns the next record line with its surrounding whitespace
-// trimmed, or io.EOF once the stream or its torn tail ends. The slice
-// is valid until the next call.
+// Next returns the next record line with its surrounding JSON
+// whitespace trimmed, or io.EOF once the stream or its torn tail ends.
+// The slice is valid until the next call.
 func (r *Reader) Next() ([]byte, error) {
 	for r.sc.Scan() {
 		raw := r.sc.Bytes()
 		r.line++
 		r.unterminated = raw[len(raw)-1] != '\n'
-		rec := bytes.TrimSpace(raw)
+		rec := TrimSpace(raw)
 		if r.unterminated && len(rec) > 0 && !json.Valid(rec) {
 			r.torn = r.line
 			return nil, io.EOF
@@ -96,6 +97,16 @@ func (r *Reader) Line() int { return r.line }
 // Torn returns the line of the torn tail the stream ended with, or 0.
 func (r *Reader) Torn() int { return r.torn }
 
+// jsonSpace is JSON's whitespace: space, tab, LF and CR. bytes.TrimSpace
+// also strips \v, \f, U+0085 and U+00A0, which JSON does not allow
+// around a value.
+const jsonSpace = " \t\n\r"
+
+// TrimSpace returns line without its leading and trailing JSON
+// whitespace, the one trim every record reader applies. It returns a
+// subslice and does not allocate.
+func TrimSpace(line []byte) []byte { return bytes.Trim(line, jsonSpace) }
+
 // Decode unmarshals one record line into v. The line must hold exactly
 // one JSON value, and an object may carry no field v does not declare.
 func Decode(line []byte, v any) error {
@@ -104,7 +115,7 @@ func Decode(line []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if len(bytes.TrimSpace(line[dec.InputOffset():])) > 0 {
+	if len(TrimSpace(line[dec.InputOffset():])) > 0 {
 		return errors.New("unexpected data after the JSON value")
 	}
 	return nil

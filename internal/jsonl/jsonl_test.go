@@ -28,11 +28,12 @@ const intactLog = `{"type":"header","header":{"version":1,"seed":11}}
 
 // contract is the recovery contract written out apart from the codec:
 // the records of data in order, the 1-based line of the first error (0
-// = none), and whether data ends in a torn tail.
+// = none), and whether data ends in a torn tail. Only JSON whitespace
+// (space, tab, CR, LF) may surround a record.
 func contract(data []byte) (recs []string, errLine int, torn bool) {
 	lines := bytes.Split(data, []byte("\n"))
 	for i, ln := range lines {
-		rec := bytes.TrimSpace(ln)
+		rec := bytes.Trim(ln, " \t\r\n")
 		switch {
 		case len(rec) == 0:
 		case json.Valid(rec):
@@ -194,6 +195,29 @@ func FuzzJournalReplay(f *testing.F) {
 		checkReader(t, data)
 		checkOpen(t, data)
 	})
+}
+
+// TestTrimSpace: TrimSpace strips exactly JSON's four whitespace bytes
+// from both ends, keeps every other byte bytes.TrimSpace would strip,
+// and does not allocate.
+func TestTrimSpace(t *testing.T) {
+	for in, want := range map[string]string{
+		" \t\r\n{}\n\r\t ": "{}",
+		" \t\r\n":          "",
+		"{} \v":            "{} \v",
+		"\f{}":             "\f{}",
+		"{}\u0085":         "{}\u0085",
+		"\u00a0{}\n":       "\u00a0{}",
+		"{\v}":             "{\v}",
+	} {
+		if got := TrimSpace([]byte(in)); string(got) != want {
+			t.Errorf("TrimSpace(%q) = %q, want %q", in, got, want)
+		}
+	}
+	line := []byte(" {\"a\":1}\r\n")
+	if n := testing.AllocsPerRun(100, func() { _ = TrimSpace(line) }); n != 0 {
+		t.Errorf("TrimSpace allocates %v times per call", n)
+	}
 }
 
 // TestReaderLineCap: a capped reader accepts a line of exactly the cap

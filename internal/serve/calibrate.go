@@ -415,7 +415,7 @@ func (s *Server) tailApply(grown []byte) {
 	cl := s.calib
 	cl.mu.Lock()
 	for _, line := range bytes.Split(grown, []byte("\n")) {
-		if line = bytes.TrimSpace(line); len(line) == 0 {
+		if line = jsonl.TrimSpace(line); len(line) == 0 {
 			continue
 		}
 		o, err := trace.DecodeObs(line)

@@ -110,9 +110,9 @@ func sameBits(a, b Measurement) bool {
 // per (graph, device) changes no sample: Profile deep-equals the
 // per-sample oracle (every Agg, retained samples included) and Train's
 // measurement is bit-equal to it, over several CNNs, every registered
-// device and several seeds. It also pins what the campaign's comm
-// stage relies on to share one compute draw across k: ComputeSeconds
-// is bit-identical at every k.
+// device and several seeds. CommOverhead, which the campaign's comm
+// stage draws alone, equals Train's CommSeconds bit for bit, and
+// ComputeSeconds is bit-identical at every k.
 func TestSamplerMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	ds := dataset.ImageNetSubset6400
@@ -141,6 +141,14 @@ func TestSamplerMatchesOracle(t *testing.T) {
 					}
 					if want := oracleTrain(t, g, cfg, ds, 6, seed); !sameBits(meas, want) {
 						t.Errorf("%s/%s k=%d seed %d: Train = %+v, oracle %+v", name, m, k, seed, meas, want)
+					}
+					comm, err := CommOverhead(ctx, g, cfg, 6, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(comm) != math.Float64bits(meas.CommSeconds) {
+						t.Errorf("%s/%s k=%d seed %d: CommOverhead = %v, Train's CommSeconds %v",
+							name, m, k, seed, comm, meas.CommSeconds)
 					}
 					if k == 1 {
 						compute0 = meas.ComputeSeconds

@@ -195,46 +195,14 @@ func (m Measurement) CostUSD(p cloud.Pricing) (float64, error) {
 // per-iteration mean. Per the paper's data-parallel setup, the per-GPU
 // batch size is fixed (the graph's), so k GPUs cut the iteration count
 // by k while each iteration pays the communication overhead
-// S(GPU, k, params).
+// S(GPU, k, params). The per-iteration mean is CommOverhead's mean plus
+// MeanCompute's, each drawn from its own streams.
 func Train(ctx context.Context, g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, measureIters int, seed uint64) (Measurement, error) {
-	return TrainWith(ctx, g, cfg, ds, measureIters, seed, MeanCompute)
-}
-
-// ComputeFunc supplies the compute half of a Train measurement: the
-// mean summed op time per iteration of g on device m. MeanCompute
-// draws it.
-type ComputeFunc func(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int, seed uint64) (float64, error)
-
-// TrainWith is Train with the compute mean taken from compute, which
-// must return what MeanCompute returns for the same arguments. No node
-// stream involves the GPU count k, so that mean is the same at every k:
-// a caller measuring several k of one graph and device may pass a
-// compute that draws it once and shares it.
-func TrainWith(ctx context.Context, g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, measureIters int, seed uint64, compute ComputeFunc) (Measurement, error) {
-	if !cfg.Valid() {
-		return Measurement{}, faults.Permanentf("sim: invalid config %s", cfg)
+	comm, err := CommOverhead(ctx, g, cfg, measureIters, seed)
+	if err != nil {
+		return Measurement{}, err
 	}
-	if measureIters <= 0 {
-		return Measurement{}, faults.Permanentf("sim: measureIters must be positive, got %d", measureIters)
-	}
-	dev, ok := gpu.Lookup(cfg.GPU)
-	if !ok {
-		return Measurement{}, faults.Permanentf("sim: unknown GPU device %q", string(cfg.GPU))
-	}
-	commStream := rng.New(seed ^ hashString(g.Name)).Derive(0xC0111 ^ dev.SeedID<<16 ^ uint64(cfg.K))
-	var comm float64
-	for iter := 0; iter < measureIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
-		}
-		s, err := cloud.SampleCommOverhead(cfg.GPU, cfg.K, g.Params, commStream)
-		if err != nil {
-			return Measurement{}, err
-		}
-		comm += s
-	}
-	comm /= float64(measureIters)
-	meanCompute, err := compute(ctx, g, cfg.GPU, measureIters, seed)
+	meanCompute, err := MeanCompute(ctx, g, cfg.GPU, measureIters, seed)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -250,6 +218,38 @@ func TrainWith(ctx context.Context, g *graph.Graph, cfg cloud.Config, ds dataset
 		Iterations:     iters,
 		TotalSeconds:   perIter * float64(iters),
 	}, nil
+}
+
+// CommOverhead draws Train's comm mean: the communication overhead
+// S(GPU, k, params) per iteration of training g on cfg, averaged over
+// measureIters iterations. It draws no node: its stream is derived
+// from (seed, CNN, device, k) alone, so it equals Train's CommSeconds
+// bit for bit. Train validates through it, and the context is checked
+// between iterations.
+func CommOverhead(ctx context.Context, g *graph.Graph, cfg cloud.Config, measureIters int, seed uint64) (float64, error) {
+	if !cfg.Valid() {
+		return 0, faults.Permanentf("sim: invalid config %s", cfg)
+	}
+	if measureIters <= 0 {
+		return 0, faults.Permanentf("sim: measureIters must be positive, got %d", measureIters)
+	}
+	dev, ok := gpu.Lookup(cfg.GPU)
+	if !ok {
+		return 0, faults.Permanentf("sim: unknown GPU device %q", string(cfg.GPU))
+	}
+	commStream := rng.New(seed ^ hashString(g.Name)).Derive(0xC0111 ^ dev.SeedID<<16 ^ uint64(cfg.K))
+	var comm float64
+	for iter := 0; iter < measureIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		s, err := cloud.SampleCommOverhead(cfg.GPU, cfg.K, g.Params, commStream)
+		if err != nil {
+			return 0, err
+		}
+		comm += s
+	}
+	return comm / float64(measureIters), nil
 }
 
 // MeanCompute draws Train's compute mean: the summed op time of g on

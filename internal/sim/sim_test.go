@@ -8,6 +8,7 @@ import (
 
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
+	"ceer/internal/faults"
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
 	"ceer/internal/ops"
@@ -178,14 +179,37 @@ func TestTrainMultiGPUScaling(t *testing.T) {
 	}
 }
 
+// TestTrainErrors: Train and CommOverhead fail alike, with the same
+// error, on an invalid config, zero measureIters, an unknown device and
+// a cancelled context; the configuration errors are permanent.
 func TestTrainErrors(t *testing.T) {
 	g := smallNet(t)
 	ds := dataset.Dataset{Name: "d", Samples: 100}
-	if _, err := Train(context.Background(), g, cloud.Config{GPU: gpu.T4, K: 0}, ds, 5, 1); err == nil {
-		t.Error("invalid config should error")
-	}
-	if _, err := Train(context.Background(), g, cloud.Config{GPU: gpu.T4, K: 1}, ds, 0, 1); err == nil {
-		t.Error("zero measureIters should error")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		cfg       cloud.Config
+		iters     int
+		permanent bool
+	}{
+		{"invalid config", context.Background(), cloud.Config{GPU: gpu.T4, K: 0}, 5, true},
+		{"zero measureIters", context.Background(), cloud.Config{GPU: gpu.T4, K: 1}, 0, true},
+		{"unknown device", context.Background(), cloud.Config{GPU: "tpu-v9", K: 1}, 5, true},
+		{"cancelled context", cancelled, cloud.Config{GPU: gpu.T4, K: 1}, 5, false},
+	} {
+		_, trainErr := Train(tc.ctx, g, tc.cfg, ds, tc.iters, 1)
+		_, commErr := CommOverhead(tc.ctx, g, tc.cfg, tc.iters, 1)
+		switch {
+		case trainErr == nil || commErr == nil:
+			t.Errorf("%s: Train error %v, CommOverhead error %v; want both to fail", tc.name, trainErr, commErr)
+		case trainErr.Error() != commErr.Error():
+			t.Errorf("%s: Train error %q, CommOverhead error %q", tc.name, trainErr, commErr)
+		case faults.IsPermanent(trainErr) != tc.permanent || faults.IsPermanent(commErr) != tc.permanent:
+			t.Errorf("%s: permanent = %v, %v; want %v", tc.name,
+				faults.IsPermanent(trainErr), faults.IsPermanent(commErr), tc.permanent)
+		}
 	}
 }
 

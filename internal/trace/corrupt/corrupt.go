@@ -4,12 +4,15 @@
 // one codec (internal/jsonl) under one contract. A torn tail — a final
 // line with no newline that is not valid JSON, the footprint of a crash
 // mid-append — is dropped; every other line must hold exactly one JSON
-// value. The table drives the codec's tests and both readers', so the
+// value, with nothing around it but JSON whitespace (space, tab, CR,
+// LF). The table drives the codec's tests and both readers', so the
 // contract cannot drift between them. Every record reads under intact,
-// blank-interior-lines and final-record-unterminated; the torn-* cases
-// keep the records before the tail; garbage-mid-file,
-// truncated-mid-file-line, garbage-terminated-final-line,
-// two-records-one-line and trailing-junk-after-record are errors.
+// blank-interior-lines, final-record-unterminated and
+// json-whitespace-around-record; the torn-* cases keep the records
+// before the tail; garbage-mid-file, truncated-mid-file-line,
+// garbage-terminated-final-line, two-records-one-line,
+// trailing-junk-after-record, vertical-tab-after-record and
+// nbsp-after-record are errors.
 package corrupt
 
 import "bytes"
@@ -135,5 +138,30 @@ func Cases() []Case {
 			Mutate: func(data []byte) []byte { return bytes.TrimRight(data, "\n") },
 			Want:   WantAll,
 		},
+		{
+			Name:   "json-whitespace-around-record",
+			Mutate: func(data []byte) []byte { return padSecondRecord(data, " \t\r", " \t\r") },
+			Want:   WantAll,
+		},
+		{
+			// bytes.TrimSpace strips \v; JSON does not allow it.
+			Name:   "vertical-tab-after-record",
+			Mutate: func(data []byte) []byte { return padSecondRecord(data, "", "\v") },
+			Want:   WantErr,
+		},
+		{
+			// bytes.TrimSpace strips U+00A0; JSON does not allow it.
+			Name:   "nbsp-after-record",
+			Mutate: func(data []byte) []byte { return padSecondRecord(data, "", "\u00a0") },
+			Want:   WantErr,
+		},
 	}
+}
+
+// padSecondRecord puts before and after around the second line's
+// record, inside its newline.
+func padSecondRecord(data []byte, before, after string) []byte {
+	lines := bytes.SplitN(data, []byte("\n"), 3)
+	padded := append(append([]byte(before), lines[1]...), after...)
+	return bytes.Join([][]byte{lines[0], padded, lines[2]}, []byte("\n"))
 }

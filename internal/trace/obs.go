@@ -320,8 +320,8 @@ func NewObsReader(r io.Reader) *ObsReader {
 }
 
 // Read returns the next observation and its record line, trimmed of
-// surrounding whitespace, or io.EOF at the end of the log. The line is
-// valid until the next call; the daemon journals it as it came.
+// surrounding JSON whitespace, or io.EOF at the end of the log. The
+// line is valid until the next call; the daemon journals it as it came.
 func (r *ObsReader) Read() (Obs, []byte, error) {
 	line, err := r.Next()
 	if err == io.EOF {

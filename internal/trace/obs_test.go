@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"strings"
@@ -212,11 +214,16 @@ func TestObsReaderCorruption(t *testing.T) {
 }
 
 // decodeObsReference is DecodeObs through encoding/json alone: the
-// behaviour the canonical scan must reproduce.
+// behaviour the canonical scan must reproduce. A line json.Valid
+// rejects is rejected here even if jsonl.Decode took it, so a decoder
+// that accepts what is not JSON differs from its reference.
 func decodeObsReference(line []byte) (Obs, error) {
 	var o Obs
 	if err := jsonl.Decode(line, &o); err != nil {
 		return Obs{}, err
+	}
+	if !json.Valid(line) {
+		return Obs{}, errors.New("not valid JSON")
 	}
 	if err := o.Validate(); err != nil {
 		return Obs{}, err
