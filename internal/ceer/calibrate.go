@@ -74,7 +74,9 @@ type calibKey struct {
 // calibCell is the mutable calibration state of one (device, op type)
 // model.
 type calibCell struct {
-	stats      *regress.SuffStats
+	stats *regress.SuffStats
+	// window holds the live model's residuals; a refit empties it.
+	window     drift.Window
 	applied    int // observations folded into this cell
 	sinceRefit int
 	refits     int
@@ -169,9 +171,7 @@ func (c *Calibrator) cell(om *OpModel) (*calibCell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ceer: seeding calibration stats for %s/%s: %w", om.GPU, om.OpType, err)
 	}
-	st.SetResidualWindowCap(c.pol.Drift.Window)
-	st.ResetResidualWindow()
-	cl := &calibCell{stats: st}
+	cl := &calibCell{stats: st, window: drift.NewWindow(c.pol.Drift.Window)}
 	c.cells[key] = cl
 	return cl, nil
 }
@@ -209,14 +209,14 @@ func (c *Calibrator) Calibrate(o trace.Obs) error {
 	if pred < 0 {
 		pred = 0
 	}
-	cl.stats.AddResidual(pred, o.Seconds)
+	cl.window.Add(pred, o.Seconds)
 	cl.stats.Add(o.Features, o.Seconds)
 	cl.applied++
 	cl.sinceRefit++
 	c.applied++
 
 	// Judge.
-	v := drift.Evaluate(c.pol.Drift, cl.stats)
+	v := drift.Evaluate(c.pol.Drift, &cl.window)
 	if v.Drifted && !cl.last.Drifted {
 		cl.driftEvents++
 		if cl.firstDrift == 0 {
@@ -273,7 +273,7 @@ func (c *Calibrator) refit(om *OpModel, cl *calibCell) error {
 	c.pred = pred
 	cl.refits++
 	cl.sinceRefit = 0
-	cl.stats.ResetResidualWindow()
+	cl.window.Reset()
 	cl.last = drift.Verdict{}
 	c.refits++
 	return nil

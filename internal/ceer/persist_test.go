@@ -2,18 +2,22 @@ package ceer
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
+	"ceer/internal/drift"
 	"ceer/internal/gpu"
 	"ceer/internal/zoo"
 )
@@ -384,6 +388,97 @@ func TestV2UpgradeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(up.Bytes(), again.Bytes()) {
 		t.Error("upgraded container is not byte-stable across a save/load cycle")
+	}
+}
+
+// calibrateFixture loads a model file and replays the committed
+// calibration fixture through it with drift-triggered refits only,
+// over a window small enough that the fixture refits often. It returns
+// the report, its rendering and the recalibrated file's bytes.
+func calibrateFixture(t *testing.T, models []byte) (CalibrationReport, []byte, []byte) {
+	t.Helper()
+	pred, err := Load(bytes.NewReader(models))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs, err := os.ReadFile(filepath.Join("testdata", "calib_obs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := DefaultCalibrationPolicy()
+	pol.Drift = drift.Policy{Window: 4, MAPEThreshold: 0.01, SignRun: 2}
+	cal, err := NewCalibrator(pred, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cal.Replay(bytes.NewReader(obs), nil); err != nil {
+		t.Fatal(err)
+	}
+	rep := cal.Report()
+	var text bytes.Buffer
+	if err := rep.Render(&text); err != nil {
+		t.Fatal(err)
+	}
+	return rep, text.Bytes(), savedBytes(t, cal.Predictor())
+}
+
+// TestCalibratedStatsHoldOnlyNormalEquations: after drift-triggered
+// refits, every saved stats object holds the normal equations and
+// nothing else. The residual window that judged the drift is the
+// calibrator's, and no load would read it.
+func TestCalibratedStatsHoldOnlyNormalEquations(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "predictor_seed1_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, saved := calibrateFixture(t, golden)
+	if rep.Refits == 0 {
+		t.Fatal("the fixture should trigger drift refits")
+	}
+	var file struct {
+		OpModels []struct {
+			Stats map[string]json.RawMessage `json:"stats"`
+		} `json:"op_models"`
+	}
+	if err := json.Unmarshal(saved, &file); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"degree", "n", "num_features", "scale", "sum_y", "sum_y2", "xtx", "xty"}
+	for i, om := range file.OpModels {
+		keys := make([]string, 0, len(om.Stats))
+		for k := range om.Stats {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, want) {
+			t.Errorf("op model %d: stats members %v, want %v", i, keys, want)
+		}
+	}
+}
+
+// TestLoadIgnoresLegacyResidualWindow: calibrated v3 files written
+// while the accumulator kept the drift window carry res_cap, residuals
+// and res_total in every stats object it refit. Such a file loads, and
+// calibrating from it gives the report and the file bytes that
+// calibrating from the same file without those members gives.
+func TestLoadIgnoresLegacyResidualWindow(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "predictor_seed1_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, stripped := calibrateFixture(t, golden)
+	legacy := regexp.MustCompile(`("sum_y2": [^\n]+)\n`).ReplaceAll(stripped,
+		[]byte(`${1},"res_cap": 4,"residuals": [0.5, -0.25],"res_total": 7`+"\n"))
+	if n := bytes.Count(legacy, []byte(`"res_cap"`)); n == 0 || n != bytes.Count(stripped, []byte(`"sum_y2"`)) {
+		t.Fatalf("legacy members added to %d stats objects, want every one", n)
+	}
+	_, wantText, wantSaved := calibrateFixture(t, stripped)
+	_, gotText, gotSaved := calibrateFixture(t, legacy)
+	if !bytes.Equal(gotText, wantText) {
+		t.Errorf("report from the legacy file differs:\n--- legacy ---\n%s--- stripped ---\n%s", gotText, wantText)
+	}
+	if !bytes.Equal(gotSaved, wantSaved) {
+		t.Error("recalibrated file from the legacy file differs from the stripped file's")
 	}
 }
 

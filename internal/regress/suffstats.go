@@ -25,12 +25,11 @@ import (
 )
 
 // SuffStats accumulates the sufficient statistics of a polynomial
-// least-squares fit: XᵀX, Xᵀy, the observation count, the first two
-// moments of y (for the moment-form R²), and a bounded window of
-// recent prediction residuals (for drift detection; see
-// AddResidual). The feature normalization divisors are fixed at
-// construction: they are part of the model contract, not of the data,
-// so incremental updates to an existing model reuse its scale.
+// least-squares fit: XᵀX, Xᵀy, the observation count, and the first
+// two moments of y (for the moment-form R²). The feature normalization
+// divisors are fixed at construction: they are part of the model
+// contract, not of the data, so incremental updates to an existing
+// model reuse its scale.
 type SuffStats struct {
 	degree int
 	nf     int
@@ -41,16 +40,6 @@ type SuffStats struct {
 	xtx         []float64 // upper triangle of XᵀX, row-major: p(p+1)/2 entries
 	xty         []float64 // p entries
 	sumY, sumY2 float64
-
-	// Windowed residual moments: a ring of the most recent signed
-	// relative residuals (pred-actual)/|actual|, plus the lifetime
-	// count of residuals observed. The window is runtime drift state;
-	// the codec carries it so a calibration loop can checkpoint
-	// mid-window.
-	resCap   int
-	res      []float64 // ring storage, len <= resCap
-	resNext  int       // ring write position
-	resTotal int
 
 	// scratch buffers reused across Add calls (one accumulator is
 	// single-writer; see the concurrency note on Add).
@@ -135,10 +124,6 @@ func (s *SuffStats) NumParams() int { return s.p }
 // N returns the number of observations accumulated.
 func (s *SuffStats) N() int { return s.n }
 
-// Scale returns the per-feature normalization divisors (shared slice;
-// do not modify).
-func (s *SuffStats) Scale() []float64 { return s.scale }
-
 // CompatibleWith verifies the accumulator matches a fitted model's
 // shape — same degree, feature count, and bit-identical normalization
 // divisors — so its Adds continue that model's fit rather than
@@ -163,8 +148,8 @@ func (s *SuffStats) CompatibleWith(m *Model) error {
 // the batch fit's loop, so adding rows one at a time is bit-identical
 // to the pre-refactor materialized accumulation.
 //
-// An accumulator is single-writer: Add, Merge, and AddResidual must
-// not race with each other or with Solve (they share scratch state).
+// An accumulator is single-writer: Add must not race with another Add
+// or with Solve (they share scratch state).
 func (s *SuffStats) Add(x []float64, y float64) {
 	if len(x) != s.nf {
 		panic(fmt.Sprintf("regress: suffstats add with %d features, want %d", len(x), s.nf))
@@ -301,139 +286,4 @@ func (s *SuffStats) rSquaredFor(coef []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// SetResidualWindowCap sets the residual window capacity, preserving
-// the most recent min(cap, held) residuals. A zero cap disables the
-// window.
-func (s *SuffStats) SetResidualWindowCap(cap int) {
-	if cap < 0 {
-		cap = 0
-	}
-	kept := s.windowInOrder()
-	if len(kept) > cap {
-		kept = kept[len(kept)-cap:]
-	}
-	s.resCap = cap
-	s.res = append(s.res[:0], kept...)
-	s.resNext = len(s.res) % maxInt(cap, 1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ResetResidualWindow empties the window (capacity and lifetime count
-// are kept) — called after a refit so the new model is judged only on
-// residuals it produced.
-func (s *SuffStats) ResetResidualWindow() {
-	s.res = s.res[:0]
-	s.resNext = 0
-}
-
-// AddResidual records one live prediction residual — the signed
-// relative error (pred − actual)/|actual| — into the bounded window.
-// Observations with a zero actual are skipped (relative error is
-// undefined there), mirroring MAPE.
-func (s *SuffStats) AddResidual(pred, actual float64) {
-	if actual == 0 {
-		return
-	}
-	s.addResidualValue((pred - actual) / math.Abs(actual))
-}
-
-func (s *SuffStats) addResidualValue(rel float64) {
-	s.resTotal++
-	if s.resCap == 0 {
-		return
-	}
-	if len(s.res) < s.resCap {
-		s.res = append(s.res, rel)
-		s.resNext = len(s.res) % s.resCap
-		return
-	}
-	s.res[s.resNext] = rel
-	s.resNext = (s.resNext + 1) % s.resCap
-}
-
-// windowHalves returns the ring's two halves in place: the window's
-// residuals oldest-first are older followed by newer.
-func (s *SuffStats) windowHalves() (older, newer []float64) {
-	if len(s.res) < s.resCap || s.resNext == 0 {
-		return s.res, nil
-	}
-	return s.res[s.resNext:], s.res[:s.resNext]
-}
-
-// windowInOrder returns a copy of the window's residuals oldest-first.
-func (s *SuffStats) windowInOrder() []float64 {
-	older, newer := s.windowHalves()
-	return append(append(make([]float64, 0, len(s.res)), older...), newer...)
-}
-
-// ResidualWindow returns the residuals currently held, oldest first.
-func (s *SuffStats) ResidualWindow() []float64 { return s.windowInOrder() }
-
-// ResidualWindowCap returns the window capacity.
-func (s *SuffStats) ResidualWindowCap() int { return s.resCap }
-
-// ResidualCount returns the lifetime number of residuals observed
-// (including ones evicted from the window).
-func (s *SuffStats) ResidualCount() int { return s.resTotal }
-
-// WindowFill returns how many residuals the window currently holds.
-func (s *SuffStats) WindowFill() int { return len(s.res) }
-
-// WindowMAPE returns the mean absolute relative residual over the
-// window (0 when empty), summed oldest-first for determinism, walking
-// the ring in place.
-func (s *SuffStats) WindowMAPE() float64 {
-	if len(s.res) == 0 {
-		return 0
-	}
-	sum := 0.0
-	older, newer := s.windowHalves()
-	for _, half := range [2][]float64{older, newer} {
-		for _, r := range half {
-			sum += math.Abs(r)
-		}
-	}
-	return sum / float64(len(s.res))
-}
-
-// WindowMaxSignRun returns the length of the longest run of
-// same-signed residuals in the window. Exact zeros break runs. A long
-// run is the signature of systematic bias — a drifted model is
-// consistently over- or under-predicting — where healthy noise
-// alternates sign.
-func (s *SuffStats) WindowMaxSignRun() int {
-	best, run, sign := 0, 0, 0
-	older, newer := s.windowHalves()
-	for _, half := range [2][]float64{older, newer} {
-		for _, r := range half {
-			var sgn int
-			switch {
-			case r > 0:
-				sgn = 1
-			case r < 0:
-				sgn = -1
-			default:
-				sgn = 0
-			}
-			if sgn != 0 && sgn == sign {
-				run++
-			} else if sgn != 0 {
-				sign, run = sgn, 1
-			} else {
-				sign, run = 0, 0
-			}
-			if run > best {
-				best = run
-			}
-		}
-	}
-	return best
 }

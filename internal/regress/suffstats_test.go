@@ -160,10 +160,8 @@ func mustState(t *testing.T, s *SuffStats) []byte {
 func TestSuffStatsStateRoundTrip(t *testing.T) {
 	xs, ys := synthRows(31, 2, 30)
 	s := mustStats(t, 2, 2, scaleFor(xs))
-	s.SetResidualWindowCap(4)
 	for i := 0; i < 20; i++ {
 		s.Add(xs[i], ys[i])
-		s.AddResidual(ys[i]*0.9, ys[i])
 	}
 	data := mustState(t, s)
 	var st SuffStatsState
@@ -180,9 +178,7 @@ func TestSuffStatsStateRoundTrip(t *testing.T) {
 	// Continue both and compare: restored must be indistinguishable.
 	for i := 20; i < 30; i++ {
 		s.Add(xs[i], ys[i])
-		s.AddResidual(ys[i]*1.2, ys[i])
 		restored.Add(xs[i], ys[i])
-		restored.AddResidual(ys[i]*1.2, ys[i])
 	}
 	if !bytes.Equal(mustState(t, s), mustState(t, restored)) {
 		t.Error("restored accumulator diverges from the original after further Adds")
@@ -217,9 +213,6 @@ func TestSuffStatsStateErrors(t *testing.T) {
 		{"xtx arity", func(st *SuffStatsState) { st.XTX = st.XTX[:2] }, "xtx entries"},
 		{"xty arity", func(st *SuffStatsState) { st.XTY = st.XTY[:1] }, "xty entries"},
 		{"negative n", func(st *SuffStatsState) { st.N = -1 }, "negative n"},
-		{"negative cap", func(st *SuffStatsState) { st.ResCap = -1 }, "negative residual cap"},
-		{"window overflow", func(st *SuffStatsState) { st.ResCap = 1; st.Residuals = []float64{1, 2}; st.ResTotal = 2 }, "over cap"},
-		{"total undercount", func(st *SuffStatsState) { st.ResCap = 4; st.Residuals = []float64{1, 2}; st.ResTotal = 1 }, "counts 1 residuals"},
 		{"nan xtx", func(st *SuffStatsState) { st.XTX = append([]float64(nil), st.XTX...); st.XTX[0] = math.NaN() }, "non-finite"},
 	}
 	for _, tc := range cases {
@@ -227,119 +220,6 @@ func TestSuffStatsStateErrors(t *testing.T) {
 		tc.mutate(&st)
 		if _, err := RestoreSuffStats(st); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestSuffStatsResidualWindow exercises the drift-statistic window:
-// MAPE, sign runs, eviction, and cap changes.
-func TestSuffStatsResidualWindow(t *testing.T) {
-	s := mustStats(t, 1, 1, []float64{1})
-	s.SetResidualWindowCap(4)
-	// Residuals: +0.1, -0.1, +0.2, +0.2 → MAPE 0.15, max sign run 2.
-	s.AddResidual(1.1, 1.0)
-	s.AddResidual(0.9, 1.0)
-	s.AddResidual(1.2, 1.0)
-	s.AddResidual(1.2, 1.0)
-	if got := s.WindowFill(); got != 4 {
-		t.Fatalf("WindowFill = %d, want 4", got)
-	}
-	if got := s.WindowMAPE(); !approx(got, 0.15, 1e-15) {
-		t.Errorf("WindowMAPE = %v, want 0.15", got)
-	}
-	if got := s.WindowMaxSignRun(); got != 2 {
-		t.Errorf("WindowMaxSignRun = %v, want 2", got)
-	}
-	// Zero actual is skipped entirely.
-	s.AddResidual(5, 0)
-	if got := s.ResidualCount(); got != 4 {
-		t.Errorf("ResidualCount after zero actual = %d, want 4", got)
-	}
-	// Eviction: a fifth residual displaces the oldest (+0.1), leaving
-	// -0.1, +0.2, +0.2, +0.3 → max sign run 3.
-	s.AddResidual(1.3, 1.0)
-	if got := s.WindowMaxSignRun(); got != 3 {
-		t.Errorf("WindowMaxSignRun after eviction = %v, want 3", got)
-	}
-	if got := s.ResidualCount(); got != 5 {
-		t.Errorf("ResidualCount = %d, want 5", got)
-	}
-	win := s.ResidualWindow()
-	if len(win) != 4 || !approx(win[0], -0.1, 1e-15) || !approx(win[3], 0.3, 1e-15) {
-		t.Errorf("ResidualWindow = %v", win)
-	}
-	// Shrinking the cap keeps the most recent entries.
-	s.SetResidualWindowCap(2)
-	win = s.ResidualWindow()
-	if len(win) != 2 || !approx(win[0], 0.2, 1e-15) || !approx(win[1], 0.3, 1e-15) {
-		t.Errorf("ResidualWindow after shrink = %v", win)
-	}
-	// Zero cap disables the window but keeps counting.
-	s.SetResidualWindowCap(0)
-	s.AddResidual(2, 1)
-	if s.WindowFill() != 0 || s.ResidualCount() != 6 {
-		t.Errorf("zero-cap window: fill=%d count=%d", s.WindowFill(), s.ResidualCount())
-	}
-	if got := s.WindowMAPE(); !eqExact(got, 0) {
-		t.Errorf("empty-window MAPE = %v, want 0", got)
-	}
-	if got := s.WindowMaxSignRun(); got != 0 {
-		t.Errorf("empty-window sign run = %d, want 0", got)
-	}
-}
-
-// TestWindowStatsWalkRingInPlace: across random caps, fills, resizes
-// and wrap points, WindowMAPE (compared by bits) and WindowMaxSignRun,
-// which walk the ring in place, equal a reference computed over the
-// ResidualWindow copy, oldest first.
-func TestWindowStatsWalkRingInPlace(t *testing.T) {
-	src := rng.New(7)
-	add := func(s *SuffStats, n int) {
-		sign := 1.0
-		for ; n > 0; n-- {
-			if src.Intn(3) == 0 {
-				sign = -sign
-			}
-			if src.Intn(10) == 0 {
-				s.AddResidual(1, 1) // an exact zero breaks a run
-				continue
-			}
-			s.AddResidual(1+sign*(0.01+src.Float64()), 1)
-		}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		s := mustStats(t, 1, 1, []float64{1})
-		s.SetResidualWindowCap(src.Intn(40))
-		add(s, src.Intn(120))
-		if src.Intn(3) == 0 {
-			s.SetResidualWindowCap(src.Intn(40))
-			add(s, src.Intn(60))
-		}
-		win := s.ResidualWindow()
-		wantMAPE := 0.0
-		if len(win) > 0 {
-			for _, r := range win {
-				wantMAPE += math.Abs(r)
-			}
-			wantMAPE /= float64(len(win))
-		}
-		wantRun, run := 0, 0
-		for i, r := range win {
-			switch {
-			case r == 0:
-				run = 0
-			case i > 0 && (r > 0) == (win[i-1] > 0) && win[i-1] != 0:
-				run++
-			default:
-				run = 1
-			}
-			wantRun = max(wantRun, run)
-		}
-		if got := s.WindowMAPE(); math.Float64bits(got) != math.Float64bits(wantMAPE) {
-			t.Fatalf("trial %d (cap %d, %d held): WindowMAPE %v, want %v", trial, s.ResidualWindowCap(), len(win), got, wantMAPE)
-		}
-		if got := s.WindowMaxSignRun(); got != wantRun {
-			t.Fatalf("trial %d (cap %d, window %v): WindowMaxSignRun %d, want %d", trial, s.ResidualWindowCap(), win, got, wantRun)
 		}
 	}
 }

@@ -11,6 +11,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Scratch outputs of the experiments and bench gates, removed however
+# the script exits.
+exp_out="$(mktemp -d)"
+bench_predict_out="$(mktemp)"
+bench_serve_out="$(mktemp)"
+trap 'rm -rf "${exp_out}" "${bench_predict_out}" "${bench_serve_out}"' EXIT
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [[ -n "${unformatted}" ]]; then
@@ -135,7 +142,6 @@ echo "== experiments determinism gate"
 # must equal the checked-in experiments_report.txt, so every reproduced
 # number is pinned. Only stdout is compared; the timing line goes to
 # stderr, shown if a run fails.
-exp_out="$(mktemp -d)"
 for workers in 1 2; do
     if ! go run ./cmd/ceer-experiments -workers "${workers}" \
         >"${exp_out}/w${workers}.txt" 2>"${exp_out}/w${workers}.err"; then
@@ -151,7 +157,6 @@ if ! cmp "${exp_out}/w1.txt" experiments_report.txt; then
     echo "experiments determinism gate FAILED: the report differs from experiments_report.txt" >&2
     exit 1
 fi
-rm -rf "${exp_out}"
 
 echo "== live-daemon chaos suite"
 # A daemon built with -tags chaosserve under real faults: kill -9
@@ -170,7 +175,7 @@ echo "== serving-path bench regression gate"
 # >20% ns/op or any allocs/op regression fails (see scripts/bench.sh).
 # bench.sh's stdout, which holds the per-bench verdicts, goes to stderr
 # with the raw bench lines, so a failing gate names its benchmark.
-BENCH_COUNT=6 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >&2
+BENCH_COUNT=6 BENCH_TIME=500x BENCH_OUT="${bench_predict_out}" ./scripts/bench.sh >&2
 
 echo "== serve daemon bench regression gate"
 # The daemon's hot-path benches gated against the committed
@@ -180,7 +185,7 @@ echo "== serve daemon bench regression gate"
 # zero-allocation contract of DESIGN.md §13.
 BENCH_COUNT=6 BENCH_TIME=500x BENCH_PKG=./internal/serve \
     BENCH_REGEX='ServePredict$|ServeRecommend$|ServeEncodePredict$' \
-    BENCH_BASELINE=BENCH_serve.json BENCH_OUT="$(mktemp)" \
+    BENCH_BASELINE=BENCH_serve.json BENCH_OUT="${bench_serve_out}" \
     ./scripts/bench.sh >&2
 
 echo "== serve daemon smoke"
