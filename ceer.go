@@ -310,7 +310,7 @@ func Train(opts TrainOptions) (*System, error) {
 
 // TrainContext is Train bounded by a context: a deadline or
 // cancellation interrupts the measurement campaign promptly (mid-cell,
-// between iterations).
+// between blocks of nodes).
 func TrainContext(ctx context.Context, opts TrainOptions) (*System, error) {
 	pl := internal.DefaultPipeline(opts.Seed)
 	if opts.ProfileIterations > 0 {

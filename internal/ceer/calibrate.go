@@ -162,9 +162,9 @@ func (c *Calibrator) cell(om *OpModel) (*calibCell, error) {
 	var st *regress.SuffStats
 	var err error
 	if om.Stats != nil {
-		// Clone through the codec: calibration must not mutate the
-		// accumulator owned by the (possibly still serving) predictor.
-		st, err = regress.RestoreSuffStats(om.Stats.State())
+		// Clone: calibration must not mutate the accumulator owned by
+		// the (possibly still serving) predictor.
+		st, err = om.Stats.Clone()
 	} else {
 		st, err = regress.StatsForModel(om.Fit)
 	}
@@ -248,8 +248,7 @@ func (c *Calibrator) refit(om *OpModel, cl *calibCell) error {
 		cl.sinceRefit = 0
 		return nil
 	}
-	snap := cl.stats.State()
-	stats, err := regress.RestoreSuffStats(snap)
+	stats, err := cl.stats.Clone()
 	if err != nil {
 		return fmt.Errorf("ceer: snapshotting recalibrated stats for %s/%s: %w", om.GPU, om.OpType, err)
 	}

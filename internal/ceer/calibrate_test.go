@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -365,6 +366,38 @@ func TestCalibrateV2PredictorSeedsEmptyStats(t *testing.T) {
 	}
 	if cl.Refits != 0 {
 		t.Errorf("5 observations under a 24-window should not refit, got %d", cl.Refits)
+	}
+}
+
+// TestCalibrateRefusesOverflowedStats: an observation whose features
+// overflow the cell's XᵀX makes the due refit fail with the snapshot
+// error, and the serving predictor stays the one before it.
+func TestCalibrateRefusesOverflowedStats(t *testing.T) {
+	p, err := LoadFile(filepath.Join("testdata", "predictor_seed1_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, ok := p.OpModelFor(gpu.T4, ops.Conv2D)
+	if !ok {
+		t.Fatal("the golden predictor lacks a t4 Conv2D model")
+	}
+	pol := DefaultCalibrationPolicy()
+	pol.RefitEvery = 1
+	cal, err := NewCalibrator(p, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := make([]float64, om.Fit.NumFeatures)
+	for i := range feats {
+		feats[i] = 1e200
+	}
+	err = cal.Calibrate(trace.Obs{CNN: "x", GPU: gpu.T4, Op: ops.Conv2D, Features: feats, Seconds: 1})
+	if err == nil || !strings.Contains(err.Error(), "snapshotting recalibrated stats") ||
+		!strings.Contains(err.Error(), "non-finite xtx") {
+		t.Fatalf("refit over an overflowed XᵀX: error %v, want the snapshot's non-finite refusal", err)
+	}
+	if cal.Predictor() != p {
+		t.Error("a refused refit replaced the serving predictor")
 	}
 }
 

@@ -7,7 +7,8 @@ import "fmt"
 // NumFeatures raw features each, stored contiguously row-major, and the
 // i-th prediction is written to dst[i]. Predict is a one-row call; the
 // compiled tables evaluate one model over a whole run of classes. One
-// scratch row of scaled features serves the whole batch.
+// scratch row of scaled features serves the whole batch; up to 16
+// features it lives on the stack, so Predict allocates nothing.
 //
 // Each row is normalized by the training scale, and β₀ + Σ βᵢ·φᵢ(x) is
 // summed in the order SuffStats.Add expands a row: the linear columns,
@@ -20,7 +21,13 @@ func (m *Model) PredictBatch(dst []float64, feats []float64) {
 		panic(fmt.Sprintf("regress: PredictBatch with %d features for %d rows of a %d-feature model",
 			len(feats), len(dst), nf))
 	}
-	scaled := make([]float64, nf)
+	var buf [16]float64
+	var scaled []float64
+	if nf <= len(buf) {
+		scaled = buf[:nf]
+	} else {
+		scaled = make([]float64, nf)
+	}
 	for r := range dst {
 		row := feats[r*nf : (r+1)*nf]
 		for j, v := range row {

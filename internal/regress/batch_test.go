@@ -99,6 +99,23 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestPredictAllocFree checks that Predict keeps its scratch row on the
+// stack up to 16 features: a 6-feature quadratic model, the widest the
+// zoo trains, allocates nothing per call. Past 16 features the row
+// comes from the heap and the result still equals the reference.
+func TestPredictAllocFree(t *testing.T) {
+	m, queries := fitRandom(t, 61, 6, 2, 1)
+	if allocs := testing.AllocsPerRun(100, func() { m.Predict(queries[0]) }); allocs != 0 {
+		t.Errorf("Predict on a 6-feature quadratic model: %v allocs per call, want 0", allocs)
+	}
+	wide, queries := fitRandom(t, 62, 17, 1, 3)
+	for i, q := range queries {
+		if got, want := wide.Predict(q), referencePredict(wide, q); !eqExact(got, want) {
+			t.Errorf("17 features, row %d: Predict = %v, reference = %v", i, got, want)
+		}
+	}
+}
+
 // TestPredictBatchEmpty accepts a zero-row batch.
 func TestPredictBatchEmpty(t *testing.T) {
 	m, _ := fitRandom(t, 3, 2, 1, 1)

@@ -57,10 +57,8 @@ func RestoreSuffStats(st SuffStatsState) (*SuffStats, error) {
 	if st.N < 0 {
 		return nil, fmt.Errorf("regress: suffstats state has negative n %d", st.N)
 	}
-	for i, v := range st.XTX {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("regress: suffstats state has non-finite xtx entry %d", i)
-		}
+	if err := checkFiniteXTX(st.XTX); err != nil {
+		return nil, err
 	}
 	s := newSuffStats(st.NumFeatures, st.Degree, st.Scale, p)
 	copy(s.xtx, st.XTX)
@@ -69,4 +67,31 @@ func RestoreSuffStats(st SuffStatsState) (*SuffStats, error) {
 	s.sumY = st.SumY
 	s.sumY2 = st.SumY2
 	return s, nil
+}
+
+// Clone returns an independent copy of the accumulator: later Adds to
+// either leave the other unchanged. It equals the State and
+// RestoreSuffStats round trip, in one copy, and like that round trip
+// it refuses an accumulator whose XᵀX has overflowed to a non-finite
+// entry, with the same error.
+func (s *SuffStats) Clone() (*SuffStats, error) {
+	if err := checkFiniteXTX(s.xtx); err != nil {
+		return nil, err
+	}
+	c := newSuffStats(s.nf, s.degree, s.scale, s.p)
+	copy(c.xtx, s.xtx)
+	copy(c.xty, s.xty)
+	c.n, c.sumY, c.sumY2 = s.n, s.sumY, s.sumY2
+	return c, nil
+}
+
+// checkFiniteXTX refuses a non-finite XᵀX entry, which no solve can
+// recover from.
+func checkFiniteXTX(xtx []float64) error {
+	for i, v := range xtx {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("regress: suffstats state has non-finite xtx entry %d", i)
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -193,6 +194,49 @@ func TestSuffStatsStateRoundTrip(t *testing.T) {
 	}
 	if !coefsIdentical(ms.Coef, mr.Coef) {
 		t.Error("restored accumulator solves to different coefficients")
+	}
+}
+
+// TestSuffStatsClone checks Clone against the codec round trip it
+// replaces: the clone deep-equals State then RestoreSuffStats, Adds to
+// the clone leave the source's state unchanged, and an accumulator
+// whose XᵀX overflowed is refused with the codec's error.
+func TestSuffStatsClone(t *testing.T) {
+	xs, ys := synthRows(37, 3, 30)
+	for _, degree := range []int{1, 2} {
+		s := mustStats(t, 3, degree, scaleFor(xs))
+		for i := 0; i < 20; i++ {
+			s.Add(xs[i], ys[i])
+		}
+		c, err := s.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaCodec, err := RestoreSuffStats(s.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c, viaCodec) {
+			t.Errorf("degree %d: Clone = %+v, codec round trip %+v", degree, c, viaCodec)
+		}
+		before := mustState(t, s)
+		for i := 20; i < 30; i++ {
+			c.Add(xs[i], ys[i])
+		}
+		if !bytes.Equal(before, mustState(t, s)) {
+			t.Errorf("degree %d: Adds to the clone changed the source", degree)
+		}
+		if bytes.Equal(before, mustState(t, c)) {
+			t.Errorf("degree %d: Adds to the clone did not reach it", degree)
+		}
+	}
+
+	wild := mustStats(t, 2, 2, []float64{1, 1})
+	wild.Add([]float64{1e200, 1}, 1) // x₁⁴ overflows XᵀX
+	_, cloneErr := wild.Clone()
+	_, codecErr := RestoreSuffStats(wild.State())
+	if cloneErr == nil || codecErr == nil || cloneErr.Error() != codecErr.Error() {
+		t.Errorf("overflowed XᵀX: Clone error %v, codec error %v; want the same refusal", cloneErr, codecErr)
 	}
 }
 

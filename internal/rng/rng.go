@@ -15,7 +15,8 @@ import "math"
 // value is a valid source seeded with 0.
 type Source struct {
 	state uint64
-	// spare caches the second Box–Muller variate between Normal calls.
+	// spare caches the second Box–Muller variate between Normal calls
+	// (0 when none is pending).
 	spare    float64
 	hasSpare bool
 }
@@ -67,22 +68,63 @@ func (s *Source) Intn(n int) int {
 // Box–Muller transform.
 func (s *Source) Normal() float64 {
 	if s.hasSpare {
-		s.hasSpare = false
-		return s.spare
+		return s.takeSpare()
 	}
-	var u, v float64
+	z, spare := s.pair()
+	s.spare, s.hasSpare = spare, true
+	return z
+}
+
+// Normals fills zs with the next len(zs) standard Gaussian variates:
+// exactly the values len(zs) successive Normal calls would return, and
+// the source is left in the state those calls would leave. A pending
+// spare comes first, and an odd remainder leaves its pair's second
+// variate pending.
+func (s *Source) Normals(zs []float64) {
+	if len(zs) > 0 && s.hasSpare {
+		zs[0] = s.takeSpare()
+		zs = zs[1:]
+	}
+	for len(zs) >= 2 {
+		zs[0], zs[1] = s.pair()
+		zs = zs[2:]
+	}
+	if len(zs) == 1 {
+		zs[0], s.spare = s.pair()
+		s.hasSpare = true
+	}
+}
+
+// takeSpare returns the pending second variate of the last pair and
+// clears it, so a source's state depends only on what it has drawn.
+func (s *Source) takeSpare() float64 {
+	z := s.spare
+	s.spare, s.hasSpare = 0, false
+	return z
+}
+
+// pair draws one Box–Muller pair: a uniform u in (0, 1), redrawn while
+// it is 0, then a uniform v.
+func (s *Source) pair() (float64, float64) {
+	var u float64
 	for {
 		u = s.Float64()
 		if u > 0 {
 			break
 		}
 	}
-	v = s.Float64()
+	return boxMuller(u, s.Float64())
+}
+
+// boxMuller maps the uniforms u and v to r·cos θ, which Normal returns
+// first, and r·sin θ, its spare, where r = √(−2 ln u) and θ = 2πv.
+// math.Sincos shares the range reduction and the polynomials of
+// math.Sin and math.Cos, so each variate has the bits the separate
+// calls give, at one reduction for both.
+func boxMuller(u, v float64) (float64, float64) {
 	r := math.Sqrt(-2 * math.Log(u))
-	theta := 2 * math.Pi * v
-	s.spare = r * math.Sin(theta)
-	s.hasSpare = true
-	return r * math.Cos(theta)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	return r * cos, r * sin
 }
 
 // LogNormalFactor returns a multiplicative noise factor with median 1

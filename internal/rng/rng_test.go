@@ -112,6 +112,65 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
+// TestNormalsMatchesNormal checks that Normals(zs) returns, by bits,
+// the values len(zs) successive Normal calls return, and leaves the
+// same source state, for every length 0..9, from a fresh source and
+// from one holding a spare.
+func TestNormalsMatchesNormal(t *testing.T) {
+	for _, pending := range []bool{false, true} {
+		for n := 0; n <= 9; n++ {
+			batch, single := New(31), New(31)
+			if pending {
+				batch.Normal()
+				single.Normal()
+			}
+			zs := make([]float64, n)
+			batch.Normals(zs)
+			for i, z := range zs {
+				if want := single.Normal(); math.Float64bits(z) != math.Float64bits(want) {
+					t.Errorf("pending %v, n=%d: zs[%d] = %v, Normal gives %v", pending, n, i, z, want)
+				}
+			}
+			if *batch != *single {
+				t.Errorf("pending %v, n=%d: state %+v after Normals, %+v after Normal", pending, n, *batch, *single)
+			}
+			// The streams stay in step afterwards.
+			if a, b := batch.Normal(), single.Normal(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("pending %v, n=%d: next Normal %v after Normals, %v after Normal", pending, n, a, b)
+			}
+		}
+	}
+}
+
+// TestBoxMullerMatchesSinCos checks the one-reduction pair against
+// r·math.Cos(θ) and r·math.Sin(θ), by bits, over 10M uniform pairs and
+// the ends of v's range, 0 and 1−2⁻⁵³.
+func TestBoxMullerMatchesSinCos(t *testing.T) {
+	check := func(u, v float64) bool {
+		r := math.Sqrt(-2 * math.Log(u))
+		theta := 2 * math.Pi * v
+		wantC, wantS := r*math.Cos(theta), r*math.Sin(theta)
+		c, s := boxMuller(u, v)
+		if math.Float64bits(c) != math.Float64bits(wantC) || math.Float64bits(s) != math.Float64bits(wantS) {
+			t.Errorf("boxMuller(%v, %v) = (%v, %v), want (%v, %v)", u, v, c, s, wantC, wantS)
+			return false
+		}
+		return true
+	}
+	check(0.5, 0)
+	check(0.5, 1-0x1p-53)
+	src := New(5)
+	for i := 0; i < 10_000_000; i++ {
+		u := src.Float64()
+		if u == 0 {
+			continue
+		}
+		if !check(u, src.Float64()) {
+			return
+		}
+	}
+}
+
 func TestLogNormalFactor(t *testing.T) {
 	s := New(23)
 	if f := s.LogNormalFactor(0); !eqExact(f, 1) {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
@@ -49,21 +50,12 @@ func hashString(s string) uint64 {
 	return h.Sum64()
 }
 
-// streamFor derives the per-node noise stream. Streams are keyed by
-// the device's frozen SeedID, never its registry position, so
-// registering extra devices (or reordering registration) leaves every
-// existing measurement byte-identical.
-func (p *Profiler) streamFor(cnn string, dev *gpu.Device, node graph.NodeID) *rng.Source {
-	base := rng.New(p.Seed ^ hashString(cnn))
-	return base.Derive(dev.SeedID<<32 ^ uint64(node))
-}
-
 // Profile runs the graph for the configured number of iterations on one
 // GPU model and returns the aggregated op-level trace. The context is
-// checked between iterations, so a deadline or cancellation interrupts
-// a long profile promptly. Configuration errors carry the
-// faults.Permanent class: no retry can cure an unknown device or a
-// non-positive iteration count.
+// checked between blocks of nodes (see sampleNodes), so a deadline or
+// cancellation interrupts a long profile promptly. Configuration
+// errors carry the faults.Permanent class: no retry can cure an
+// unknown device or a non-positive iteration count.
 func (p *Profiler) Profile(ctx context.Context, g *graph.Graph, m gpu.ID) (*trace.Profile, error) {
 	if p.Iterations <= 0 {
 		return nil, faults.Permanentf("sim: profiler iterations must be positive, got %d", p.Iterations)
@@ -82,9 +74,9 @@ func (p *Profiler) Profile(ctx context.Context, g *graph.Graph, m gpu.ID) (*trac
 		Series:     make([]*trace.Series, len(nodes)),
 		IterTotal:  trace.NewAgg(p.Retain),
 	}
-	streams := make([]*rng.Source, len(nodes))
+	aggs := make([]*trace.Agg, len(nodes))
 	for i, n := range nodes {
-		streams[i] = p.streamFor(g.Name, dev, n.ID)
+		aggs[i] = trace.NewAgg(p.Retain)
 		prof.Series[i] = &trace.Series{
 			CNN:         g.Name,
 			GPU:         m,
@@ -95,43 +87,83 @@ func (p *Profiler) Profile(ctx context.Context, g *graph.Graph, m gpu.ID) (*trac
 			Features:    n.Op.Features(),
 			InputBytes:  n.Op.InputBytes(),
 			OutputBytes: n.Op.OutputBytes(),
-			Agg:         trace.NewAgg(p.Retain),
+			Agg:         aggs[i],
 		}
 	}
-	costs := nodeCosts(dev, nodes)
-	for iter := 0; iter < p.Iterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		total := 0.0
-		for i, c := range costs {
-			t := c.sample(streams[i])
-			prof.Series[i].Agg.Add(t)
-			total += t
-		}
-		prof.IterTotal.Add(total)
+	totals, err := sampleNodes(ctx, p.Seed, g, dev, p.Iterations, aggs)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range totals {
+		prof.IterTotal.Add(t)
 	}
 	return prof, nil
 }
 
-// nodeCost is the loop-invariant half of one node's measurement on a
-// device: the noiseless time and the noise level of its op. Both are
-// fixed per (device, op), so they are evaluated once per (graph,
-// device) and every iteration draws only the noise.
-type nodeCost struct{ base, sigma float64 }
+// blockNodes is how many nodes sampleNodes draws before it folds their
+// samples in. It is a tuning constant, not a parameter: no output
+// depends on it.
+const blockNodes = 8
 
-func nodeCosts(dev *gpu.Device, nodes []*graph.Node) []nodeCost {
-	costs := make([]nodeCost, len(nodes))
-	for i, n := range nodes {
-		costs[i] = nodeCost{base: dev.BaseTime(n.Op), sigma: dev.Sigma(n.Op)}
+// sampleNodes plays iters training iterations of g on dev and returns
+// each iteration's total op time; when aggs is non-nil, node i's
+// samples also go to aggs[i]. Each node's noise stream is derived from
+// (seed, CNN, device SeedID, node ID) alone. SeedID is frozen per
+// device, never its registry position, so registering extra devices
+// (or reordering registration) leaves every existing measurement
+// byte-identical.
+//
+// Nodes are drawn a block at a time, each node's iters samples in one
+// tight loop (drawNode). The block is then walked iteration-major, so
+// node i's samples reach aggs[i] in iteration order and totals[it]
+// adds iteration it's samples in node order, starting from 0: every
+// stream, Agg and total sees exactly what a loop drawing one iteration
+// of every node through dev.SampleTime gives (DESIGN §7). The context
+// is checked once per block.
+func sampleNodes(ctx context.Context, seed uint64, g *graph.Graph, dev *gpu.Device, iters int, aggs []*trace.Agg) ([]float64, error) {
+	nodes := g.Nodes()
+	base := rng.New(seed ^ hashString(g.Name))
+	totals := make([]float64, iters)
+	rows := make([]float64, blockNodes*iters)
+	for lo := 0; lo < len(nodes); lo += blockNodes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		block := nodes[lo:min(lo+blockNodes, len(nodes))]
+		for j, n := range block {
+			drawNode(rows[j*iters:(j+1)*iters], dev.BaseTime(n.Op), dev.Sigma(n.Op),
+				base.Derive(dev.SeedID<<32^uint64(n.ID)))
+		}
+		for it := range totals {
+			t := totals[it]
+			for j := range block {
+				x := rows[j*iters+it]
+				if aggs != nil {
+					aggs[lo+j].Add(x)
+				}
+				t += x
+			}
+			totals[it] = t
+		}
 	}
-	return costs
+	return totals, nil
 }
 
-// sample draws one noisy time from the node's stream: the same
-// expression, and so the same bits, as dev.SampleTime.
-func (c nodeCost) sample(src *rng.Source) float64 {
-	return c.base * src.LogNormalFactor(c.sigma)
+// drawNode fills row with one node's samples in iteration order, each
+// base·exp(sigma·z) for the stream's next normal z: the expression, and
+// so the bits, of dev.SampleTime. Like rng.LogNormalFactor, a sigma <= 0
+// draws nothing and every sample is base.
+func drawNode(row []float64, base, sigma float64, src *rng.Source) {
+	if sigma <= 0 {
+		for i := range row {
+			row[i] = base
+		}
+		return
+	}
+	src.Normals(row)
+	for i, z := range row {
+		row[i] = base * math.Exp(sigma*z)
+	}
 }
 
 // ProfileAll profiles each named CNN (built at the given batch size) on
@@ -254,7 +286,8 @@ func CommOverhead(ctx context.Context, g *graph.Graph, cfg cloud.Config, measure
 
 // MeanCompute draws Train's compute mean: the summed op time of g on
 // device m per iteration, averaged over measureIters iterations. Its
-// node streams are derived from (seed, CNN, device, node) alone.
+// node streams are derived from (seed, CNN, device, node) alone, and
+// the context is checked between blocks of nodes (see sampleNodes).
 func MeanCompute(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int, seed uint64) (float64, error) {
 	if measureIters <= 0 {
 		return 0, faults.Permanentf("sim: measureIters must be positive, got %d", measureIters)
@@ -263,24 +296,13 @@ func MeanCompute(ctx context.Context, g *graph.Graph, m gpu.ID, measureIters int
 	if !ok {
 		return 0, faults.Permanentf("sim: unknown GPU device %q", string(m))
 	}
-	nodes := g.Nodes()
-	base := rng.New(seed ^ hashString(g.Name))
-	streams := make([]*rng.Source, len(nodes))
-	for i, n := range nodes {
-		streams[i] = base.Derive(dev.SeedID<<32 ^ uint64(n.ID))
+	totals, err := sampleNodes(ctx, seed, g, dev, measureIters, nil)
+	if err != nil {
+		return 0, err
 	}
-	costs := nodeCosts(dev, nodes)
-
 	var compute float64
-	for iter := 0; iter < measureIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		iterCompute := 0.0
-		for i, c := range costs {
-			iterCompute += c.sample(streams[i])
-		}
-		compute += iterCompute
+	for _, t := range totals {
+		compute += t
 	}
 	return compute / float64(measureIters), nil
 }

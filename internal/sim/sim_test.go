@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-
+	"errors"
 	"math"
 	"testing"
 
@@ -86,6 +86,33 @@ func TestProfileErrors(t *testing.T) {
 	if _, err := (&Profiler{Seed: 1, Iterations: 5}).Profile(context.Background(), g, gpu.ID("no-such-device")); err == nil {
 		t.Error("unknown GPU should error")
 	}
+	// A cancellation before the first block of nodes, or one that lands
+	// mid-graph, ends both samplers with the context's error.
+	for _, checks := range []int{0, 50} {
+		_, err := (&Profiler{Seed: 1, Iterations: 5}).Profile(&cancelAfter{context.Background(), checks}, g, gpu.T4)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Profile cancelled after %d checks: error %v, want context.Canceled", checks, err)
+		}
+		_, err = MeanCompute(&cancelAfter{context.Background(), checks}, g, gpu.T4, 5, 1)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("MeanCompute cancelled after %d checks: error %v, want context.Canceled", checks, err)
+		}
+	}
+}
+
+// cancelAfter is a context that is cancelled once Err has been checked
+// n times.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
 }
 
 func TestProfileAll(t *testing.T) {
